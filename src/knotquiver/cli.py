@@ -37,15 +37,20 @@ from .polynomials import (
 from .quiver import DataVector, build_representation
 
 
+def read_table(path):
+    """(n, under, over) of a JSON table file; without "over" it is a quandle."""
+    with open(path) as fh:
+        blob = json.load(fh)
+    n = blob["n"]
+    over = blob.get("over")
+    if over is None:
+        over = [[x] * n for x in range(1, n + 1)]
+    return n, blob["under"], over
+
+
 def load_algebra(spec):
     if os.path.exists(spec):
-        with open(spec) as fh:
-            blob = json.load(fh)
-        n = blob["n"]
-        under = blob["under"]
-        over = blob.get("over")
-        if over is None:
-            over = [[x] * n for x in range(1, n + 1)]
+        n, under, over = read_table(spec)
         if len(under) != n or len(over) != n:
             raise ValueError("table size does not match n=%d" % n)
         return Biquandle(under, over, name=os.path.basename(spec))
@@ -121,15 +126,14 @@ def four_polynomials(diagram, data):
 
 def cmd_check(args):
     if os.path.exists(args.quandle):
-        with open(args.quandle) as fh:
-            blob = json.load(fh)
-        n = blob["n"]
-        under = blob["under"]
-        over = blob.get("over") or [[x] * n for x in range(1, n + 1)]
+        # every violation is listed, so the table is checked before a
+        # Biquandle (which stops at the first) is built from it
+        _, under, over = read_table(args.quandle)
+        problems = check_axioms(under, over)
+        bq = None if problems else Biquandle(under, over, check=False)
     else:
-        bq = builtin(args.quandle)
-        under, over = bq.under_table, bq.over_table
-    problems = check_axioms(under, over)
+        # builtins are validated on construction
+        bq, problems = load_algebra(args.quandle), []
     lines = []
     status = 0
     if problems:
@@ -137,8 +141,7 @@ def cmd_check(args):
         lines.extend("axiom: " + p for p in problems)
     else:
         lines.append("axioms: ok")
-    if args.cocycles is not None and not problems:
-        bq = Biquandle(under, over)
+    if args.cocycles is not None and bq is not None:
         coeff = CoeffGroup.parse(args.group)
         if args.cocycles == "h2-generators":
             vectors = [vec for _, vec in h2_generators(bq, coeff)]

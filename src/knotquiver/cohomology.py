@@ -10,21 +10,30 @@ Boundaries:
                   + (under(x, z), under(y, z))
 
 with degenerate pairs dropped.  Cochains take values in Z (modulus 0)
-or Z_m; a 2-cochain is a vector over the pair basis.  For modulus m the
-cocycle condition and coboundary subgroup are handled through integer
-lattices: kernels and images are lifted mod-m to Z^p, and the quotient
-is read off a Smith normal form.
+or Z_m; a 2-cochain is a vector over the pair basis, and its
+coboundary is d3^T applied to it.
+
+Everything comes from one integral Smith form u * d3^T * v = diag(d_i),
+computed once per algebra and kept on the Biquandle instance together
+with d2 and d3^T.  This is the universal-coefficient view: the
+cocycles over Z are the columns of v past the rank, and the lifts to
+Z^p of the cocycles over Z_m are spanned by the columns of v with
+column i scaled by m / gcd(d_i, m).  H^2 is the quotient of that
+lattice by the coboundaries (the rows of d2, plus m * Z^p over Z_m),
+again read off a Smith normal form.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import gcd
 
 from .homset import chain_vector, colorings, pair_basis
 from .intlinalg import (
     from_columns,
-    kernel_basis,
     mat_mul,
     quotient_structure,
     rank_mod_prime,
+    snf,
     solve,
     transpose,
 )
@@ -96,25 +105,50 @@ def boundary_matrices(bq):
     return d2, d3
 
 
+class _Complex:
+    """d2 and d3^T of one biquandle, and the Smith form of d3^T
+    (computed on first use)."""
+
+    def __init__(self, bq):
+        self.d2, d3 = boundary_matrices(bq)
+        self.d3t = transpose(d3)
+
+    @cached_property
+    def d3t_snf(self):
+        return snf(self.d3t)
+
+
+def _complex(bq):
+    # built once per Biquandle instance and kept on it; the tables are
+    # not expected to change after construction
+    cx = getattr(bq, "_cochain_complex", None)
+    if cx is None:
+        cx = bq._cochain_complex = _Complex(bq)
+    return cx
+
+
 def cocycle_lattice(bq, coeff):
     """Basis columns of the lattice of integer vectors whose coboundary
-    vanishes (mod m when the coefficient group is finite)."""
-    d2, d3 = boundary_matrices(bq)
-    d3t = transpose(d3)
-    p = len(pair_basis(bq))
-    if coeff.modulus == 0:
-        return kernel_basis(d3t, ncols=p)
+    vanishes (mod m when the coefficient group is finite).
+
+    With u * d3^T * v = diag(d_i), a cochain x is a cocycle mod m exactly
+    when y = v^-1 x has d_i * y_i = 0 mod m for every i, that is when
+    m / gcd(d_i, m) divides y_i (d_i = 0 past the rank).  Over Z, y_i
+    must vanish below the rank and is free past it.
+    """
+    res = _complex(bq).d3t_snf
+    cols = transpose(res.v)
     m = coeff.modulus
-    aug = [row + [m if i == j else 0 for j in range(len(d3t))] for i, row in enumerate(d3t)]
-    lifted = kernel_basis(aug, ncols=p + len(d3t))
-    return [v[:p] for v in lifted]
+    if m == 0:
+        return cols[res.rank:]
+    diag = res.diag + [0] * (len(cols) - len(res.diag))
+    return [[x * (m // gcd(d, m)) for x in col] for d, col in zip(diag, cols)]
 
 
 def coboundary_generators(bq, coeff):
     # the coboundary of a 1-cochain is its pullback along d2, so the
     # image is generated by the rows of d2 viewed as pair vectors
-    d2, _ = boundary_matrices(bq)
-    gens = [list(row) for row in d2]
+    gens = [list(row) for row in _complex(bq).d2]
     p = len(pair_basis(bq))
     if coeff.modulus:
         gens += [[coeff.modulus if i == j else 0 for i in range(p)] for j in range(p)]
@@ -163,9 +197,7 @@ def h2_generators(bq, coeff):
 
 
 def is_cocycle(bq, coeff, vec):
-    _, d3 = boundary_matrices(bq)
-    d3t = transpose(d3)
-    for row in d3t:
+    for row in _complex(bq).d3t:
         s = sum(a * b for a, b in zip(row, vec))
         if coeff.reduce(s) != 0:
             return False

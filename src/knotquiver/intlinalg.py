@@ -4,7 +4,7 @@ Matrices are lists of row lists of Python ints, so everything here is
 fraction free and exact at any size.
 """
 
-from dataclasses import dataclass
+from functools import cached_property
 
 
 def identity(n):
@@ -18,10 +18,17 @@ def transpose(mat):
 
 
 def mat_mul(a, b):
-    if not a or not b:
-        return [[] for _ in a]
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    # each row of the product is a combination of the rows of b, so zero
+    # entries of a cost nothing
+    ncols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * ncols
+        for x, brow in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 def mat_vec(a, v):
@@ -36,49 +43,84 @@ def from_columns(cols):
     return transpose(cols)
 
 
-@dataclass
-class SNFResult:
-    """u * mat * v is diagonal with entries diag, each dividing the next."""
+def _replay_rows(ops, rows):
+    """Apply logged row operations, in order, to a list of row lists."""
+    for kind, i, j, c in ops:
+        if kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "add":
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        else:
+            rows[i] = [-x for x in rows[i]]
+    return rows
 
-    diag: list
-    u: list
-    v: list
-    u_inv: list
-    v_inv: list
+
+class SNFResult:
+    """u * mat * v is diagonal with entries diag, each dividing the next.
+
+    The row operations are kept as a log in the order they were applied
+    (("swap", i, j, 0), ("add", i, j, c) for row_i += c * row_j, and
+    ("neg", i, 0, 0)).  u and u_inv are built from it on first access;
+    apply_u multiplies a vector by u without forming it.
+    """
+
+    def __init__(self, diag, v, v_inv, row_ops, nrows):
+        self.diag = diag
+        self.v = v
+        self.v_inv = v_inv
+        self.row_ops = row_ops
+        self.nrows = nrows
 
     @property
     def rank(self):
         return sum(1 for d in self.diag if d != 0)
 
+    @cached_property
+    def u(self):
+        return _replay_rows(self.row_ops, identity(self.nrows))
+
+    @cached_property
+    def u_inv(self):
+        # u = E_k ... E_1, so u_inv = E_1^-1 ... E_k^-1: the inverse
+        # operations applied to the identity in reverse order
+        inverse = [(kind, i, j, -c) for kind, i, j, c in reversed(self.row_ops)]
+        return _replay_rows(inverse, identity(self.nrows))
+
+    def apply_u(self, vec):
+        """u @ vec."""
+        x = list(vec)
+        for kind, i, j, c in self.row_ops:
+            if kind == "swap":
+                x[i], x[j] = x[j], x[i]
+            elif kind == "add":
+                x[i] += c * x[j]
+            else:
+                x[i] = -x[i]
+        return x
+
 
 def snf(mat):
-    """Smith normal form with tracked unimodular transforms and inverses."""
+    """Smith normal form: diag, the column transform v and its inverse,
+    and a log of the row operations (see SNFResult)."""
     m = len(mat)
     n = len(mat[0]) if m else 0
     a = [row[:] for row in mat]
-    u = identity(m)
-    u_inv = identity(m)
     v = identity(n)
     v_inv = identity(n)
+    row_ops = []
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in u_inv:
-            r[i], r[j] = r[j], r[i]
+        row_ops.append(("swap", i, j, 0))
 
     def row_add(i, j, c):
         # row_i += c * row_j
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        for r in u_inv:
-            r[j] -= c * r[i]
+        row_ops.append(("add", i, j, c))
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in u_inv:
-            r[i] = -r[i]
+        row_ops.append(("neg", i, 0, 0))
 
     def col_swap(i, j):
         for r in a:
@@ -105,14 +147,21 @@ def snf(mat):
     t = 0
     size = min(m, n)
     while t < size:
+        # the first entry of least nonzero size in row-major order; no
+        # entry beats a unit, so the scan stops at the first one
         best = None
         pivot = None
         for i in range(t, m):
+            row = a[i]
             for j in range(t, n):
-                w = abs(a[i][j])
+                w = abs(row[j])
                 if w and (best is None or w < best):
                     best = w
                     pivot = (i, j)
+                    if w == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         if pivot[0] != t:
@@ -139,15 +188,13 @@ def snf(mat):
                         if a[t][j]:
                             col_swap(t, j)
                             swapped = True
+            # the first row whose remaining entries the pivot does not
+            # divide; a unit pivot divides everything
             d = a[t][t]
             bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % d:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            if d not in (1, -1):
+                bad = next((i for i in range(t + 1, m)
+                            if any(x % d for x in a[i][t + 1:])), None)
             if bad is None:
                 break
             row_add(t, bad, 1)
@@ -156,7 +203,7 @@ def snf(mat):
         t += 1
 
     diag = [a[i][i] for i in range(size)]
-    return SNFResult(diag, u, v, u_inv, v_inv)
+    return SNFResult(diag, v, v_inv, row_ops, m)
 
 
 def kernel_basis(mat, ncols=None):
@@ -184,7 +231,7 @@ def solve(mat, rhs, res=None):
         res = snf(mat)
     m = len(mat)
     n = len(mat[0]) if m else 0
-    c = mat_vec(res.u, rhs)
+    c = res.apply_u(rhs)
     y = [0] * n
     for j in range(m):
         d = res.diag[j] if j < len(res.diag) else 0

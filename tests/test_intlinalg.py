@@ -1,5 +1,7 @@
 import random
 
+from knotquiver.algebra import alexander_cyclic, core_cyclic
+from knotquiver.cohomology import boundary_matrices
 from knotquiver.intlinalg import (
     from_columns,
     identity,
@@ -10,6 +12,7 @@ from knotquiver.intlinalg import (
     rank_mod_prime,
     snf,
     solve,
+    transpose,
 )
 
 
@@ -21,24 +24,68 @@ def is_diagonal(mat):
     return all(x == 0 for i, row in enumerate(mat) for j, x in enumerate(row) if i != j)
 
 
+def assert_smith_factorization(mat):
+    m, n = len(mat), len(mat[0])
+    res = snf(mat)
+    d = mat_mul(mat_mul(res.u, mat), res.v)
+    assert is_diagonal(d)
+    for i in range(min(m, n)):
+        assert d[i][i] == res.diag[i]
+        assert res.diag[i] >= 0
+    for i in range(min(m, n) - 1):
+        if res.diag[i + 1]:
+            assert res.diag[i] != 0
+            assert res.diag[i + 1] % res.diag[i] == 0
+    assert mat_mul(res.u, res.u_inv) == identity(m)
+    assert mat_mul(res.v, res.v_inv) == identity(n)
+    return res
+
+
 def test_snf_factorization_random():
     rng = random.Random(7)
     for _ in range(60):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
-        mat = random_matrix(rng, m, n)
-        res = snf(mat)
-        d = mat_mul(mat_mul(res.u, mat), res.v)
-        assert is_diagonal(d)
-        for i in range(min(m, n)):
-            assert d[i][i] == res.diag[i]
-            assert res.diag[i] >= 0
-        for i in range(min(m, n) - 1):
-            if res.diag[i + 1]:
-                assert res.diag[i] != 0
-                assert res.diag[i + 1] % res.diag[i] == 0
-        assert mat_mul(res.u, res.u_inv) == identity(m)
-        assert mat_mul(res.v, res.v_inv) == identity(n)
+        assert_smith_factorization(random_matrix(rng, m, n))
+
+
+def solve_through_u(res, rhs):
+    """Reference for solve: u @ rhs formed with the explicit u."""
+    c = mat_vec(res.u, rhs)
+    y = [0] * len(res.v)
+    for j, cj in enumerate(c):
+        d = res.diag[j] if j < len(res.diag) else 0
+        if d == 0:
+            if cj:
+                return None
+        elif cj % d:
+            return None
+        else:
+            y[j] = cj // d
+    return mat_vec(res.v, y)
+
+
+def test_snf_factorization_tall_sparse():
+    # the coboundary matrices d3^T (80 x 20, at most six nonzero entries
+    # per column of d3) are what the cohomology layer factors
+    rng = random.Random(19)
+    for bq in (core_cyclic(5), alexander_cyclic(5, 2)):
+        _, d3 = boundary_matrices(bq)
+        mat = transpose(d3)
+        assert (len(mat), len(mat[0])) == (80, 20)
+        res = assert_smith_factorization(mat)
+        # solve replays the row-operation log on the right-hand side; it
+        # must agree with solving through the explicit u
+        for _ in range(10):
+            rhs = [rng.randint(-4, 4) for _ in range(len(mat))]
+            assert res.apply_u(rhs) == mat_vec(res.u, rhs)
+            assert solve(mat, rhs, res) == solve_through_u(res, rhs)
+        for _ in range(10):
+            x0 = [rng.randint(-4, 4) for _ in range(len(mat[0]))]
+            rhs = mat_vec(mat, x0)
+            x = solve(mat, rhs, res)
+            assert x == solve_through_u(res, rhs)
+            assert mat_vec(mat, x) == rhs
 
 
 def test_kernel_basis_annihilates_and_saturates():
