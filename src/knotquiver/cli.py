@@ -31,8 +31,7 @@ from .polynomials import (
     LimitError,
     edge_char_polynomial,
     edge_matrix_polynomial,
-    path_char_polynomial,
-    path_matrix_polynomial,
+    path_polynomials,
 )
 from .quiver import DataVector, build_representation
 
@@ -116,11 +115,12 @@ def emit(text, args):
 
 def four_polynomials(diagram, data):
     rq = build_representation(diagram, data)
+    chi_path, pm_path = path_polynomials(rq)
     return rq, {
         "chi_edge": edge_char_polynomial(rq).render(),
         "pm_edge": edge_matrix_polynomial(rq).render(),
-        "chi_path": path_char_polynomial(rq).render(),
-        "pm_path": path_matrix_polynomial(rq).render(),
+        "chi_path": chi_path.render(),
+        "pm_path": pm_path.render(),
     }
 
 

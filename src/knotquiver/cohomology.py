@@ -106,12 +106,13 @@ def boundary_matrices(bq):
 
 
 class _Complex:
-    """d2 and d3^T of one biquandle, and the Smith form of d3^T
-    (computed on first use)."""
+    """d2 and d3^T of one biquandle, the Smith form of d3^T (computed on
+    first use), and what is built once per coefficient modulus."""
 
     def __init__(self, bq):
         self.d2, d3 = boundary_matrices(bq)
         self.d3t = transpose(d3)
+        self.per_modulus = {}
 
     @cached_property
     def d3t_snf(self):
@@ -125,6 +126,21 @@ def _complex(bq):
     if cx is None:
         cx = bq._cochain_complex = _Complex(bq)
     return cx
+
+
+def _per_modulus(bq, name, coeff, build):
+    """build(), called once per Biquandle instance, name and modulus."""
+    memo = _complex(bq).per_modulus
+    key = (name, coeff.modulus)
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _solver(cols):
+    # (matrix, Smith form) for solving against the given columns
+    mat = from_columns(cols)
+    return mat, (snf(mat) if mat else None)
 
 
 def cocycle_lattice(bq, coeff):
@@ -205,10 +221,11 @@ def is_cocycle(bq, coeff, vec):
 
 
 def is_coboundary(bq, coeff, vec):
-    gens = coboundary_generators(bq, coeff)
-    if not gens:
+    mat, res = _per_modulus(
+        bq, "coboundaries", coeff, lambda: _solver(coboundary_generators(bq, coeff)))
+    if not mat:
         return not any(vec)
-    return solve(from_columns(gens), list(vec)) is not None
+    return solve(mat, list(vec), res) is not None
 
 
 def h2_coordinates(bq, coeff, vec):
@@ -217,17 +234,18 @@ def h2_coordinates(bq, coeff, vec):
     Solves vec = sum(a_i * gen_i) + coboundary over the integers and
     returns each a_i reduced mod the generator's order.
     """
-    gens = h2_generators(bq, coeff)
-    cols = [g for _, g in gens] + coboundary_generators(bq, coeff)
-    if not cols:
+    def build():
+        gens = h2_generators(bq, coeff)
+        cols = [g for _, g in gens] + coboundary_generators(bq, coeff)
+        return [order for order, _ in gens], _solver(cols)
+
+    orders, (mat, res) = _per_modulus(bq, "h2-coordinates", coeff, build)
+    if not mat:
         return ()
-    sol = solve(from_columns(cols), list(vec))
+    sol = solve(mat, list(vec), res)
     if sol is None:
         raise ValueError("vector is not a cocycle combination")
-    out = []
-    for (order, _), a in zip(gens, sol):
-        out.append(a % order if order else a)
-    return tuple(out)
+    return tuple(a % order if order else a for order, a in zip(orders, sol))
 
 
 def evaluate(coeff, phi, chain):

@@ -184,7 +184,7 @@ def char_poly(mat, var="t"):
         if len(row) != n:
             raise ValueError("matrix must be square")
     coeffs = [1]  # c_0 = 1 for lambda^n
-    work = [row[:] for row in mat]
+    work = [list(row) for row in mat]
     for k in range(1, n + 1):
         if k > 1:
             shifted = [row[:] for row in work]
@@ -258,63 +258,113 @@ def render_root_form(pairs):
 
 
 def maximal_paths(quiver, max_edges=64, max_paths=200000):
-    """All maximal non-repeating edge paths of a quiver.
+    """All maximal non-repeating edge paths of a quiver, sorted.
 
     A path is a sequence of edges, each starting where the previous one
     ended and no edge used twice.  A path is maximal when it is not a
     subsequence (order preserving, not necessarily contiguous) of any
-    other such path.  Caps guard against blowup and raise LimitError.
+    other such path.
+
+    The search extends trails at the head only.  A dead end is a trail
+    with no unused edge out of its head and none into its tail; every
+    maximal path is one.  A dead end is maximal exactly when no vertex
+    it visits lies on a cycle of unused edges: whatever a longer path
+    inserts between two of its edges is a closed trail of unused edges
+    at the vertex they share, and any such cycle can be inserted.
+
+    Caps raise LimitError: more than max_edges edges, or more than
+    max_paths dead ends, maximal or not (so the cap bounds the work of
+    the search, not the size of the answer).
     """
-    edges = list(range(len(quiver.edges)))
-    if len(edges) > max_edges:
-        raise LimitError("edge count %d exceeds cap %d" % (len(edges), max_edges))
-    by_source = {}
-    for idx in edges:
-        by_source.setdefault(quiver.edges[idx][0], []).append(idx)
+    n = len(quiver.edges)
+    if n > max_edges:
+        raise LimitError("maximal_paths: %d edges (cap %d)" % (n, max_edges))
+    # vertices renumbered 0..V-1 so that per-vertex state lives in lists
+    index = {}
+    source = [index.setdefault(src, len(index)) for src, _, _ in quiver.edges]
+    target = [index.setdefault(tgt, len(index)) for _, tgt, _ in quiver.edges]
+    nv = len(index)
+    out_of = [[] for _ in range(nv)]
+    for e in range(n):
+        out_of[source[e]].append(e)
+    # unused edges out of and into each vertex, and visits by the trail
+    free_out = [len(es) for es in out_of]
+    free_in = [0] * nv
+    for v in target:
+        free_in[v] += 1
+    visits = [0] * nv
+    used = [False] * n
+    path = []
+    found = []
+    dead_ends = 0
+    exhausted = iter(())
+    for first in range(n):
+        tail = source[first]
+        visits[tail] += 1
+        # iters[i] yields the edges that may follow path[:i]
+        iters = [iter((first,))]
+        while iters:
+            for e in iters[-1]:
+                if used[e]:
+                    continue
+                v, w = source[e], target[e]
+                used[e] = True
+                free_out[v] -= 1
+                free_in[w] -= 1
+                visits[w] += 1
+                path.append(e)
+                if free_out[w]:
+                    iters.append(iter(out_of[w]))
+                    break
+                iters.append(exhausted)
+                if free_in[tail]:
+                    break
+                dead_ends += 1
+                if dead_ends > max_paths:
+                    raise LimitError(
+                        "maximal_paths: %d dead-end trails (cap %d), %d maximal so far,"
+                        " %d edges" % (dead_ends, max_paths, len(found), n)
+                    )
+                maximal = True
+                if len(path) < n:
+                    # a vertex on an unused cycle has unused edges in and
+                    # out, so the head and the tail are never tried
+                    for u in range(nv):
+                        if (visits[u] and free_out[u] and free_in[u]
+                                and _on_unused_cycle(u, out_of, target, used)):
+                            maximal = False
+                            break
+                if maximal:
+                    found.append(tuple(path))
+                break
+            else:
+                iters.pop()
+                if path:
+                    e = path.pop()
+                    v, w = source[e], target[e]
+                    visits[w] -= 1
+                    free_in[w] += 1
+                    free_out[v] += 1
+                    used[e] = False
+        visits[tail] -= 1
+    found.sort()
+    return found
 
-    # candidates: paths with no unused out-edge at the head and no unused
-    # in-edge at the tail
-    candidates = []
-    seen = set()
 
-    def extensions(path, used):
-        head = quiver.edges[path[-1]][1]
-        return [e for e in by_source.get(head, ()) if e not in used]
-
-    def back_extensions(path, used):
-        tail = quiver.edges[path[0]][0]
-        return [
-            e for e in edges if e not in used and quiver.edges[e][1] == tail
-        ]
-
-    stack = [((e,), frozenset((e,))) for e in edges]
+def _on_unused_cycle(v, out_of, target, used):
+    """Whether a closed trail of unused edges passes through vertex v."""
+    seen = {v}
+    stack = [v]
     while stack:
-        path, used = stack.pop()
-        exts = extensions(path, used)
-        if exts:
-            for e in exts:
-                stack.append((path + (e,), used | {e}))
-            continue
-        if back_extensions(path, used):
-            continue
-        if path not in seen:
-            seen.add(path)
-            candidates.append(path)
-        if len(candidates) > max_paths:
-            raise LimitError("maximal path count exceeds cap %d" % max_paths)
-
-    def is_subseq(short, long_):
-        if len(short) >= len(long_):
-            return False
-        it = iter(long_)
-        return all(e in it for e in short)
-
-    out = []
-    for p in candidates:
-        if not any(is_subseq(p, q) for q in candidates if q is not p):
-            out.append(p)
-    out.sort()
-    return out
+        for e in out_of[stack.pop()]:
+            if not used[e]:
+                w = target[e]
+                if w == v:
+                    return True
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return False
 
 
 def edge_char_polynomial(quiver, var="t"):
@@ -335,31 +385,66 @@ def edge_matrix_polynomial(quiver):
     return out
 
 
-def _path_matrix(quiver, path):
-    mat = None
-    for e in path:
-        step = quiver.edges[e][2]
-        mat = step if mat is None else _mat_mul(step, mat)
-    return mat
-
-
 def _mat_mul(a, b):
     n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
-    ]
+    )
+
+
+def path_polynomials(quiver, var="t", char_path_var="s", matrix_path_var="z", **caps):
+    """(path characteristic polynomial, path matrix polynomial) from one
+    enumeration of the maximal paths.
+
+    The characteristic polynomial sums det(t*I - product matrix) * s^length
+    over the maximal paths, the matrix polynomial the entry polynomial of
+    the product matrix times z^length; there x tracks the column label
+    (where the path starts) and y the row label (where it ends).  The
+    first edge acts first, so it is the rightmost factor of the product.
+
+    The paths come sorted, so consecutive paths share a prefix and its
+    product is reused; equal (product, length) pairs share their terms.
+    """
+    m = quiver.modulus
+    labels = quiver.labels
+    steps = [tuple(map(tuple, mat)) for _, _, mat in quiver.edges]
+    chi, pm = {}, {}
+    terms = {}
+    prev = ()
+    prefix = []  # prefix[i]: the product of the first i + 1 edges of prev
+    for path in maximal_paths(quiver, **caps):
+        shared = 0
+        for a, b in zip(prev, path):
+            if a != b:
+                break
+            shared += 1
+        del prefix[shared:]
+        for e in path[shared:]:
+            prefix.append(_mat_mul(steps[e], prefix[-1]) if prefix else steps[e])
+        prev = path
+        key = (prefix[-1], len(path))
+        pair = terms.get(key)
+        if pair is None:
+            mat = prefix[-1]
+            pair = terms[key] = (
+                char_poly(mat, var)
+                * GroupExponentPolynomial.monomial(1, {char_path_var: len(path)}),
+                matrix_poly(mat, labels, labels, m, row_var="y", col_var="x")
+                * GroupExponentPolynomial.monomial(1, {matrix_path_var: len(path)}, m),
+            )
+        for out, poly in zip((chi, pm), pair):
+            for k, c in poly.terms.items():
+                out[k] = out.get(k, 0) + c
+    return (
+        GroupExponentPolynomial({k: c for k, c in chi.items() if c}),
+        GroupExponentPolynomial({k: c for k, c in pm.items() if c}, m),
+    )
 
 
 def path_char_polynomial(quiver, var="t", path_var="s", **caps):
     """Sum over maximal paths of det(t*I - product matrix) * s^length."""
-    out = GroupExponentPolynomial.zero()
-    for path in maximal_paths(quiver, **caps):
-        mat = _path_matrix(quiver, path)
-        out = out + char_poly(mat, var) * GroupExponentPolynomial.monomial(
-            1, {path_var: len(path)}
-        )
-    return out
+    return path_polynomials(quiver, var=var, char_path_var=path_var, **caps)[0]
 
 
 def path_matrix_polynomial(quiver, path_var="z", **caps):
@@ -368,12 +453,4 @@ def path_matrix_polynomial(quiver, path_var="z", **caps):
     For a path product matrix, x tracks the column label (where the
     path starts) and y the row label (where it ends).
     """
-    m = quiver.modulus
-    labels = quiver.labels
-    out = GroupExponentPolynomial.zero(m)
-    for path in maximal_paths(quiver, **caps):
-        mat = _path_matrix(quiver, path)
-        out = out + matrix_poly(
-            mat, labels, labels, m, row_var="y", col_var="x"
-        ) * GroupExponentPolynomial.monomial(1, {path_var: len(path)})
-    return out
+    return path_polynomials(quiver, matrix_path_var=path_var, **caps)[1]

@@ -309,3 +309,27 @@ def test_boundary_matrices_built_once_per_instance(monkeypatch):
     fresh = core_cyclic(4)
     assert is_cocycle(fresh, coeff, zero)
     assert len(built) == 2 and built[1] is fresh
+
+
+def test_coboundary_solvers_built_once_per_modulus(monkeypatch):
+    factored = []
+    original = cohomology.snf
+
+    def counting(mat):
+        factored.append(mat)
+        return original(mat)
+
+    monkeypatch.setattr(cohomology, "snf", counting)
+    bq = core_cyclic(4)
+    zero = [0] * len(pair_basis(bq))
+    for coeff in (Z, CoeffGroup(4)):
+        gens = h2_generators(bq, coeff)
+        assert gens
+        before = len(factored)
+        for _ in range(3):
+            for _, vec in gens:
+                assert not is_coboundary(bq, coeff, vec)
+                assert any(h2_coordinates(bq, coeff, vec))
+            assert is_coboundary(bq, coeff, zero)
+        # one Smith form for the coboundaries, one for the coordinates
+        assert len(factored) - before == 2

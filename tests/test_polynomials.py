@@ -1,17 +1,23 @@
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
 
+from knotquiver.algebra import core_cyclic
+from knotquiver.catalog import get_diagram
+from knotquiver.cohomology import CoeffGroup
 from knotquiver.polynomials import (
     GroupExponentPolynomial as P,
     LimitError,
     char_poly,
     matrix_poly,
     maximal_paths,
+    path_polynomials,
     render_root_form,
     specialize,
 )
+from knotquiver.quiver import DataVector, build_representation
 
 
 def mono(c, modulus=0, **exps):
@@ -147,3 +153,146 @@ def test_maximal_paths_edge_cap():
     q = quiver_of([(0, 0, None), (1, 1, None)])
     with pytest.raises(LimitError):
         maximal_paths(q, max_edges=1)
+
+
+def test_maximal_paths_limit_names_the_stage():
+    q = quiver_of([(0, 1, None), (0, 2, None), (0, 3, None)])
+    with pytest.raises(LimitError) as exc:
+        maximal_paths(q, max_paths=2)
+    assert str(exc.value) == (
+        "maximal_paths: 3 dead-end trails (cap 2), 2 maximal so far, 3 edges")
+    with pytest.raises(LimitError) as exc:
+        maximal_paths(q, max_edges=2)
+    assert str(exc.value) == "maximal_paths: 3 edges (cap 2)"
+
+
+# ----------------------------------------------------- reference oracle
+
+
+def reference_candidates(quiver):
+    """Every dead end: a trail with no unused edge out of its head and
+    none into its tail."""
+    edges = list(range(len(quiver.edges)))
+    by_source = {}
+    for idx in edges:
+        by_source.setdefault(quiver.edges[idx][0], []).append(idx)
+    candidates = []
+    stack = [((e,), frozenset((e,))) for e in edges]
+    while stack:
+        path, used = stack.pop()
+        head = quiver.edges[path[-1]][1]
+        exts = [e for e in by_source.get(head, ()) if e not in used]
+        if exts:
+            stack.extend((path + (e,), used | {e}) for e in exts)
+            continue
+        tail = quiver.edges[path[0]][0]
+        if not any(e not in used and quiver.edges[e][1] == tail for e in edges):
+            candidates.append(path)
+    return candidates
+
+
+def reference_maximal_paths(quiver):
+    """The dead ends that are no scattered subsequence of another dead end
+    (quadratic in the number of dead ends)."""
+
+    def is_subseq(short, long_):
+        if len(short) >= len(long_):
+            return False
+        it = iter(long_)
+        return all(e in it for e in short)
+
+    candidates = reference_candidates(quiver)
+    return sorted(
+        p for p in candidates
+        if not any(is_subseq(p, q) for q in candidates if q is not p)
+    )
+
+
+def reference_path_polynomials(quiver):
+    """Both path polynomials, each product matrix built from scratch."""
+    m = quiver.modulus
+    labels = quiver.labels
+    chi, pm = P.zero(), P.zero(m)
+    for path in reference_maximal_paths(quiver):
+        mat = None
+        for e in path:
+            step = quiver.edges[e][2]
+            mat = step if mat is None else [
+                [sum(a * b for a, b in zip(row, col)) for col in zip(*mat)] for row in step
+            ]
+        chi = chi + char_poly(mat) * mono(1, s=len(path))
+        pm = pm + matrix_poly(mat, labels, labels, m, row_var="y", col_var="x") * mono(
+            1, m, z=len(path))
+    return chi, pm
+
+
+def assert_matches_reference(quiver):
+    assert maximal_paths(quiver) == reference_maximal_paths(quiver)
+    chi, pm = path_polynomials(quiver)
+    ref_chi, ref_pm = reference_path_polynomials(quiver)
+    assert chi.terms == ref_chi.terms
+    assert pm.terms == ref_pm.terms
+    assert (chi.modulus, pm.modulus) == (ref_chi.modulus, ref_pm.modulus)
+
+
+def random_matrix(rng):
+    # permutation matrices make paths of different lengths share products
+    if rng.random() < 0.5:
+        return rng.choice([[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+    return [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
+
+
+def random_quiver(rng):
+    # 8 loops on one vertex give 40320 dead ends, which stalls the
+    # quadratic reference, so a single vertex gets at most 5 edges
+    nv = rng.randint(1, 4)
+    ne = rng.randint(0, 7 if nv > 1 else 5)
+    edges = [(rng.randrange(nv), rng.randrange(nv), random_matrix(rng)) for _ in range(ne)]
+    return quiver_of(edges, labels=[0, 1], modulus=3)
+
+
+def test_maximal_paths_match_reference_on_random_multigraphs():
+    rng = random.Random(2024)
+    for _ in range(500):
+        assert_matches_reference(random_quiver(rng))
+
+
+CORE4_VECTORS = ((1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0))
+
+
+def core4_quiver(link, endos):
+    data = DataVector(core_cyclic(4), CoeffGroup(3), CORE4_VECTORS, endos)
+    return build_representation(get_diagram(link), data)
+
+
+@pytest.mark.parametrize("link,endos,paths", [
+    ("L4a1", ((2, 4, 2, 4), (1, 1, 1, 1)), 120),
+    ("L5a1", ((1, 1, 1, 1), (2, 2, 2, 2)), 56),
+    ("L6a5", ((2, 1, 4, 3), (3, 4, 1, 2)), 128),
+])
+def test_maximal_paths_match_reference_on_core4_quivers(link, endos, paths):
+    q = core4_quiver(link, endos)
+    assert len(maximal_paths(q)) == paths
+    assert_matches_reference(q)
+
+
+def test_maximal_paths_cap_counts_dead_ends():
+    # two loops joined by a two-way bridge: 4 maximal paths, but more
+    # dead ends, which the cap counts
+    q = quiver_of([(0, 0, None), (0, 1, None), (1, 1, None), (1, 0, None)])
+    dead_ends = len(reference_candidates(q))
+    assert dead_ends > len(maximal_paths(q)) == 4
+    assert len(maximal_paths(q, max_paths=dead_ends)) == 4
+    with pytest.raises(LimitError):
+        maximal_paths(q, max_paths=dead_ends - 1)
+
+
+def test_maximal_paths_cap_stops_a_dense_quiver_fast():
+    # the shape of 2.1 under all 16 endomorphisms of core-4: 4 vertices
+    # and 4 parallel arcs on every ordered pair, loops included
+    q = quiver_of([(a, b, None) for a in range(4) for b in range(4) for _ in range(4)])
+    assert len(q.edges) == 64
+    start = time.perf_counter()
+    with pytest.raises(LimitError):
+        maximal_paths(q, max_paths=1000)
+    assert time.perf_counter() - start < 1.0
