@@ -9,8 +9,9 @@ gives a polynomial refining the counting invariant.
 
 from knotquiver import (
     CoeffGroup,
+    chain_vector,
     cocycle_invariant,
-    cocycle_invariant_root_form,
+    colorings,
     core_cyclic,
     get_diagram,
     h2_coordinates,
@@ -18,6 +19,7 @@ from knotquiver import (
     is_coboundary,
     is_cocycle,
     pair_basis,
+    weight_multiset,
 )
 
 Z = CoeffGroup(0)
@@ -38,4 +40,5 @@ print("class of phi over the generators:", h2_coordinates(bq, Z, phi))
 link = get_diagram("L4a1")
 poly = cocycle_invariant(link, bq, Z, phi)
 print("state sum on L4a1:", poly.render())
-print("as weight multiset:", cocycle_invariant_root_form(link, bq, Z, phi))
+chains = [chain_vector(link, bq, col) for col in colorings(link, bq)]
+print("as weight multiset:", weight_multiset(Z, phi, chains))

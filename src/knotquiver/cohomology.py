@@ -29,7 +29,6 @@ from math import gcd
 
 from .homset import chain_vector, colorings, pair_basis
 from .intlinalg import (
-    from_columns,
     mat_mul,
     quotient_structure,
     rank_mod_prime,
@@ -139,7 +138,7 @@ def _per_modulus(bq, name, coeff, build):
 
 def _solver(cols):
     # (matrix, Smith form) for solving against the given columns
-    mat = from_columns(cols)
+    mat = transpose(cols)
     return mat, (snf(mat) if mat else None)
 
 
@@ -200,7 +199,7 @@ def h2_generators(bq, coeff):
     lat = cocycle_lattice(bq, coeff)
     if not lat:
         return []
-    basis_mat = from_columns(lat)
+    basis_mat = transpose(lat)
     gens = coboundary_generators(bq, coeff)
     factors, vectors = quotient_structure(basis_mat, gens)
     out = []
@@ -253,23 +252,24 @@ def evaluate(coeff, phi, chain):
     return coeff.reduce(sum(a * b for a, b in zip(phi, chain)))
 
 
-def weight_multiset(diagram, bq, coeff, phi):
-    """Sorted (weight, multiplicity) pairs over all colorings."""
+def weight_multiset(coeff, phi, chains):
+    """Sorted (weight, multiplicity) pairs of phi over the chain vectors."""
     counts = {}
-    for col in colorings(diagram, bq):
-        w = evaluate(coeff, phi, chain_vector(diagram, bq, col))
+    for chain in chains:
+        w = evaluate(coeff, phi, chain)
         counts[w] = counts.get(w, 0) + 1
     return sorted(counts.items())
 
 
-def cocycle_invariant(diagram, bq, coeff, phi):
-    """State sum: one q^weight term per coloring."""
+def state_sum(coeff, phi, chains):
+    """One q^weight term per chain vector."""
     out = GroupExponentPolynomial.zero(coeff.modulus)
-    for w, mult in weight_multiset(diagram, bq, coeff, phi):
+    for w, mult in weight_multiset(coeff, phi, chains):
         out = out + GroupExponentPolynomial.monomial(mult, {"q": w}, coeff.modulus)
     return out
 
 
-def cocycle_invariant_root_form(diagram, bq, coeff, phi):
-    """The same multiset presented as factors (q - weight)^multiplicity."""
-    return weight_multiset(diagram, bq, coeff, phi)
+def cocycle_invariant(diagram, bq, coeff, phi):
+    """State sum: one q^weight term per coloring."""
+    chains = [chain_vector(diagram, bq, col) for col in colorings(diagram, bq)]
+    return state_sum(coeff, phi, chains)

@@ -35,14 +35,6 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def columns(mat):
-    return transpose(mat)
-
-
-def from_columns(cols):
-    return transpose(cols)
-
-
 def _replay_rows(ops, rows):
     """Apply logged row operations, in order, to a list of row lists."""
     for kind, i, j, c in ops:
@@ -213,8 +205,7 @@ def kernel_basis(mat, ncols=None):
     integer combination of the basis.
     """
     if not mat:
-        n = ncols or 0
-        return columns(identity(n))
+        return identity(ncols or 0)
     res = snf(mat)
     n = len(mat[0])
     return [
@@ -262,13 +253,13 @@ def quotient_structure(basis_mat, gen_cols):
         coords.append(x)
     if not coords:
         factors = [0] * k
-        gens = columns(basis_mat)
+        gens = transpose(basis_mat)
         return factors, gens
-    expr = from_columns(coords)  # k x g
+    expr = transpose(coords)  # k x g
     res = snf(expr)
     factors = [res.diag[i] if i < len(res.diag) else 0 for i in range(k)]
     new_basis = mat_mul(basis_mat, res.u_inv)
-    gens = columns(new_basis)
+    gens = transpose(new_basis)
     return factors, gens
 
 

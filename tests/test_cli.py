@@ -1,8 +1,15 @@
 import json
+import random
+import sys
 
 import pytest
 
+from knotquiver import homset
+from knotquiver.algebra import core_cyclic, swap3
+from knotquiver.catalog import catalog_names, get_diagram
 from knotquiver.cli import main
+from knotquiver.cohomology import CoeffGroup, cocycle_invariant
+from knotquiver.homset import counting_invariant
 from knotquiver.quiver import RepQuiver
 from knotquiver.polynomials import (
     edge_char_polynomial,
@@ -149,3 +156,96 @@ def test_batch_groups_virtual_knots(capsys):
         "64xyz^4: 2.1",
         "64z^4: 3.1 3.5 3.6 3.7",
     ]
+
+
+# (2, 2, 1) is an endomorphism of swap3, (1, 2, 2) is not
+NON_ENDO = "[[2,2,1],[1,2,2]]"
+NON_ENDO_ERROR = "error: map (1, 2, 2) is not an endomorphism\n"
+
+
+@pytest.mark.parametrize("verb, link_args", [
+    ("quiver", ("--link", "L4a1")),
+    ("invariants", ("--link", "L4a1")),
+    ("batch", ("--links", "L2a1,L4a1")),
+])
+def test_non_endomorphism_is_validation_failure(capsys, verb, link_args):
+    code, out, err = run(
+        capsys, verb, *link_args, "--quandle", "swap3", "--group", "3",
+        "--cocycles", "[[0,1,0,1,0,0]]", "--endos", NON_ENDO,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == NON_ENDO_ERROR
+
+
+def invariants_record(capsys, link, quandle, group, cocycles, endos):
+    code, out, _ = run(
+        capsys, "invariants", "--link", link, "--quandle", quandle,
+        "--group", group, "--cocycles", cocycles, "--endos", endos, "--json",
+    )
+    assert code == 0
+    return json.loads(out)
+
+
+def assert_matches_separate_passes(record, link, bq, coeff, vectors):
+    # the report reads the count and the state sums off the quiver's
+    # colorings; the separate functions enumerate the colorings themselves
+    d = get_diagram(link)
+    assert record["colorings"] == counting_invariant(d, bq)
+    phis = {k: v for k, v in record.items() if k.startswith("phi_")}
+    assert phis == {
+        "phi_%d" % (i + 1): cocycle_invariant(d, bq, coeff, vec).render()
+        for i, vec in enumerate(vectors)
+    }
+
+
+@pytest.mark.parametrize("link", catalog_names())
+def test_invariants_one_pass_swap3(capsys, link):
+    record = invariants_record(capsys, link, "swap3", "3", SWAP3_VECTORS, "[[2,2,1]]")
+    assert_matches_separate_passes(
+        record, link, swap3(), CoeffGroup(3), json.loads(SWAP3_VECTORS))
+
+
+@pytest.mark.parametrize("link", ["4_1", "L6a3", "L7a2", "L7a7", "L4a1", "3.2"])
+def test_invariants_one_pass_core5(capsys, link):
+    rng = random.Random(link)
+    vectors = [[rng.randrange(5) for _ in range(20)] for _ in range(3)]
+    record = invariants_record(
+        capsys, link, "core-5", "5", json.dumps(vectors), "identity")
+    assert_matches_separate_passes(
+        record, link, core_cyclic(5), CoeffGroup(5), vectors)
+
+
+def count_coloring_calls(monkeypatch):
+    """Wrap homset.colorings in every knotquiver module that holds it."""
+    calls = []
+    original = homset.colorings
+
+    def counting(diagram, bq):
+        calls.append(diagram)
+        return original(diagram, bq)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and name.split(".")[0] == "knotquiver":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_one_coloring_enumeration_per_call(capsys, monkeypatch):
+    calls = count_coloring_calls(monkeypatch)
+    code, _, _ = run(
+        capsys, "invariants", "--link", "L4a1", "--quandle", "swap3",
+        "--group", "3", "--cocycles", SWAP3_VECTORS, "--endos", "[[2,2,1]]",
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+    code, out, _ = run(
+        capsys, "cocycle-invariant", "--link", "L4a1", "--quandle", "swap3",
+        "--group", "3", "--cocycles", SWAP3_VECTORS,
+    )
+    assert code == 0
+    assert len(out.strip().splitlines()) == 3
+    assert len(calls) == 2

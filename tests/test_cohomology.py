@@ -14,7 +14,6 @@ from knotquiver.cohomology import (
     boundary_matrices,
     coboundary_generators,
     cocycle_invariant,
-    cocycle_invariant_root_form,
     cocycle_lattice,
     cocycle_space,
     evaluate,
@@ -23,10 +22,10 @@ from knotquiver.cohomology import (
     is_coboundary,
     is_cocycle,
     triple_basis,
+    weight_multiset,
 )
-from knotquiver.homset import pair_basis
+from knotquiver.homset import chain_vector, colorings, pair_basis
 from knotquiver.intlinalg import (
-    from_columns,
     kernel_basis,
     mat_vec,
     quotient_structure,
@@ -212,7 +211,8 @@ def test_cocycle_invariant_render():
     phi = [0] * len(pair_basis(bq))
     inv = cocycle_invariant(tref, bq, Z3, phi)
     assert inv.render() == "9"
-    roots = cocycle_invariant_root_form(tref, bq, Z3, phi)
+    chains = [chain_vector(tref, bq, col) for col in colorings(tref, bq)]
+    roots = weight_multiset(Z3, phi, chains)
     assert roots == [(0, 9)]
 
 
@@ -221,7 +221,6 @@ def test_coloring_chains_are_cycles():
     # coboundary functionals evaluate to zero on every coloring
     from knotquiver.construct import braid_closure, pretzel_link
     from knotquiver.diagram import parse_gauss
-    from knotquiver.homset import chain_vector, colorings
 
     cases = [
         (braid_closure([1, 1, 1]), swap3()),
@@ -261,7 +260,7 @@ def reference_cocycle_lattice(bq, m):
 
 def spans(basis_cols, vectors):
     """Every vector is an integer combination of the basis columns."""
-    mat = from_columns(basis_cols)
+    mat = transpose(basis_cols)
     res = snf(mat)
     return all(solve(mat, list(v), res) is not None for v in vectors)
 
@@ -276,7 +275,7 @@ def test_modular_cocycle_lattice_matches_augmented_kernel(name, m):
     assert spans(ref, lat) and spans(lat, ref)
 
     gens = h2_generators(bq, coeff)
-    factors, _ = quotient_structure(from_columns(ref), coboundary_generators(bq, coeff))
+    factors, _ = quotient_structure(transpose(ref), coboundary_generators(bq, coeff))
     assert [f for f, _ in gens] == [f for f in factors if f != 1]
     # the vectors depend on the lattice basis (core-4 and core-8 get other
     # ones than the augmented kernel gives), so their validity is checked

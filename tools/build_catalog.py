@@ -7,6 +7,13 @@ distinctness and crossing numbers with an independent skein bracket,
 enumerates the three-crossing virtual knots, and writes
 src/knotquiver/data/catalog.json.
 
+This script is frozen provenance of the committed catalog, not a
+verifier of it.  The weight probes of the virtual battery come from
+h2_generators, which since the universal-coefficient cocycle lattice
+returns other (equally valid) generator vectors, core-4 over Z_2 among
+them, than the ones the committed catalog was certified with; a rebuild
+therefore probes with other vectors.
+
 Run from the repository root:  python3 tools/build_catalog.py
 """
 
@@ -38,7 +45,7 @@ from knotquiver.diagram import (
     r2_poke,
     reverse_component,
 )
-from knotquiver.homset import counting_invariant
+from knotquiver.homset import chain_vector, colorings, counting_invariant
 from knotquiver.polynomials import (
     edge_char_polynomial,
     edge_matrix_polynomial,
@@ -240,6 +247,10 @@ def quiver_row(diagram):
     )
 
 
+def coloring_chains(diagram, bq):
+    return [chain_vector(diagram, bq, col) for col in colorings(diagram, bq)]
+
+
 COUNT_ALGS = None
 
 
@@ -252,7 +263,7 @@ def battery(diagram):
             alexander_cyclic(5, 2), swap3(),
         ]
     counts = tuple(counting_invariant(diagram, a) for a in COUNT_ALGS)
-    weights = tuple(weight_multiset(diagram, swap3(), Z3, PHI1))
+    weights = tuple(weight_multiset(Z3, PHI1, coloring_chains(diagram, swap3())))
     return (
         len(diagram.components()),
         counts,
@@ -462,7 +473,7 @@ def virtual_battery(diagram):
     q = build_representation(diagram, dv)
     counts = tuple(counting_invariant(diagram, a) for a in VIRTUAL_PROBES)
     weights = tuple(
-        tuple(weight_multiset(diagram, wb, grp, phi))
+        tuple(weight_multiset(grp, phi, coloring_chains(diagram, wb)))
         for wb, grp, phi in WEIGHT_PROBES
     )
     return (
