@@ -276,8 +276,3 @@ def is_homomorphism(src, dst, images):
         for x in src.elements
         for y in src.elements
     )
-
-
-def compose(f, g):
-    """(f after g) as image tuples."""
-    return tuple(f[g[x - 1] - 1] for x in range(1, len(g) + 1))

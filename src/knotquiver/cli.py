@@ -14,7 +14,8 @@ Algebras are named builtins (swap3, flip2, core-M, alexander-M-T,
 trivial-N) or paths to JSON files {"n": n, "under": rows, "over": rows}
 with 1-based entries; a file without "over" is read as a quandle.
 
-Exit status: 0 success, 1 validation failure, 2 enumeration cap hit.
+Exit status: 0 success, 1 validation failure, 2 the maximal-path search
+ran past its step budget (polynomials.STEP_BUDGET).
 """
 
 import argparse
@@ -72,10 +73,9 @@ def load_link(args):
     raise ValueError("link %r not in catalog; pass an inline code with --format" % name)
 
 
-def load_cocycles(args, bq, coeff):
-    spec = args.cocycles
-    if spec is None:
-        raise ValueError("no cocycles given (--cocycles)")
+def parse_cocycles(spec, bq, coeff):
+    """The vectors of --cocycles: 'h2-generators' or a JSON list of
+    vectors, each as long as the pair basis."""
     if spec == "h2-generators":
         return [vec for _, vec in h2_generators(bq, coeff)]
     vectors = [list(v) for v in json.loads(spec)]
@@ -83,6 +83,13 @@ def load_cocycles(args, bq, coeff):
     for vec in vectors:
         if len(vec) != want:
             raise ValueError("vector length %d, basis size %d" % (len(vec), want))
+    return vectors
+
+
+def load_cocycles(args, bq, coeff):
+    if args.cocycles is None:
+        raise ValueError("no cocycles given (--cocycles)")
+    vectors = parse_cocycles(args.cocycles, bq, coeff)
     for i, vec in enumerate(vectors):
         if not is_cocycle(bq, coeff, vec):
             # tolerated: any 2-cochain gives a well-defined quiver, it just
@@ -140,10 +147,7 @@ def cmd_check(args):
         lines.append("axioms: ok")
     if args.cocycles is not None and bq is not None:
         coeff = CoeffGroup.parse(args.group)
-        if args.cocycles == "h2-generators":
-            vectors = [vec for _, vec in h2_generators(bq, coeff)]
-        else:
-            vectors = [list(v) for v in json.loads(args.cocycles)]
+        vectors = parse_cocycles(args.cocycles, bq, coeff)
         for i, vec in enumerate(vectors):
             ok = is_cocycle(bq, coeff, vec)
             lines.append("cocycle %d over %s: %s" % (i + 1, coeff, "ok" if ok else "NOT a cocycle"))

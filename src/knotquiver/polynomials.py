@@ -18,7 +18,11 @@ GROUP_VARS = frozenset(("x", "y", "q"))
 
 
 class LimitError(RuntimeError):
-    """Raised when a configured size cap is exceeded."""
+    """Raised when a search exceeds its work budget (see STEP_BUDGET)."""
+
+
+# extension steps maximal_paths may take; read at call time
+STEP_BUDGET = 500_000
 
 
 def _norm_exp(var, exp, modulus):
@@ -119,9 +123,6 @@ class GroupExponentPolynomial:
         """Sum of all coefficients, i.e. the value at every variable = 1."""
         return sum(self.terms.values())
 
-    def variables(self):
-        return {v for key in self.terms for v, _ in key}
-
     def render(self):
         if not self.terms:
             return "0"
@@ -173,8 +174,8 @@ def _render_order(key):
     )
 
 
-def char_poly(mat, var="t"):
-    """det(var*I - mat) for a square integer matrix, exactly.
+def char_poly(mat):
+    """det(t*I - mat) for a square integer matrix, exactly.
 
     Uses trace recursion with exact integer division; non-integer
     intermediate divisions would signal a non-integer matrix and raise.
@@ -200,7 +201,7 @@ def char_poly(mat, var="t"):
         coeffs.append(q)
     out = GroupExponentPolynomial.zero()
     for k, c in enumerate(coeffs):
-        out = out + GroupExponentPolynomial.monomial(c, {var: n - k})
+        out = out + GroupExponentPolynomial.monomial(c, {"t": n - k})
     return out
 
 
@@ -242,22 +243,7 @@ def specialize(poly, ones=(), merge_xy_to_q=False):
     return GroupExponentPolynomial(out, poly.modulus)
 
 
-def render_root_form(pairs):
-    """Render a multiset of weight values as a product over roots.
-
-    pairs: iterable of (weight, multiplicity); weight 0 renders as q,
-    weight k as (q-k).
-    """
-    parts = []
-    for w, mult in sorted(pairs):
-        if mult <= 0:
-            continue
-        base = "q" if w == 0 else "(q-%d)" % w
-        parts.append(base if mult == 1 else "%s^%d" % (base, mult))
-    return "".join(parts) if parts else "1"
-
-
-def maximal_paths(quiver, max_edges=64, max_paths=200000):
+def maximal_paths(quiver):
     """All maximal non-repeating edge paths of a quiver, sorted.
 
     A path is a sequence of edges, each starting where the previous one
@@ -272,13 +258,13 @@ def maximal_paths(quiver, max_edges=64, max_paths=200000):
     inserts between two of its edges is a closed trail of unused edges
     at the vertex they share, and any such cycle can be inserted.
 
-    Caps raise LimitError: more than max_edges edges, or more than
-    max_paths dead ends, maximal or not (so the cap bounds the work of
-    the search, not the size of the answer).
+    An extension step is one edge pushed onto the trail.  The search
+    raises LimitError on step STEP_BUDGET + 1.  Every dead end follows
+    a step, and its test scans only the distinct vertices of the trail,
+    so the budget bounds the whole search, the tests included.
     """
+    budget = STEP_BUDGET
     n = len(quiver.edges)
-    if n > max_edges:
-        raise LimitError("maximal_paths: %d edges (cap %d)" % (n, max_edges))
     # vertices renumbered 0..V-1 so that per-vertex state lives in lists
     index = {}
     source = [index.setdefault(src, len(index)) for src, _, _ in quiver.edges]
@@ -293,24 +279,37 @@ def maximal_paths(quiver, max_edges=64, max_paths=200000):
     for v in target:
         free_in[v] += 1
     visits = [0] * nv
+    # the trail's distinct vertices in order of first visit; the trail
+    # grows and shrinks at the head, so a vertex leaves in reverse order
+    on_trail = []
     used = [False] * n
     path = []
     found = []
-    dead_ends = 0
+    steps = dead_ends = 0
     exhausted = iter(())
     for first in range(n):
         tail = source[first]
         visits[tail] += 1
+        on_trail.append(tail)
         # iters[i] yields the edges that may follow path[:i]
         iters = [iter((first,))]
         while iters:
             for e in iters[-1]:
                 if used[e]:
                     continue
+                steps += 1
+                if steps > budget:
+                    raise LimitError(
+                        "maximal_paths: %d extension steps (budget %d), %d dead ends,"
+                        " %d maximal so far, %d edges"
+                        % (steps, budget, dead_ends, len(found), n)
+                    )
                 v, w = source[e], target[e]
                 used[e] = True
                 free_out[v] -= 1
                 free_in[w] -= 1
+                if not visits[w]:
+                    on_trail.append(w)
                 visits[w] += 1
                 path.append(e)
                 if free_out[w]:
@@ -320,21 +319,12 @@ def maximal_paths(quiver, max_edges=64, max_paths=200000):
                 if free_in[tail]:
                     break
                 dead_ends += 1
-                if dead_ends > max_paths:
-                    raise LimitError(
-                        "maximal_paths: %d dead-end trails (cap %d), %d maximal so far,"
-                        " %d edges" % (dead_ends, max_paths, len(found), n)
-                    )
-                maximal = True
-                if len(path) < n:
-                    # a vertex on an unused cycle has unused edges in and
-                    # out, so the head and the tail are never tried
-                    for u in range(nv):
-                        if (visits[u] and free_out[u] and free_in[u]
-                                and _on_unused_cycle(u, out_of, target, used)):
-                            maximal = False
-                            break
-                if maximal:
+                # a vertex on an unused cycle has unused edges in and
+                # out, so the head and the tail are never tried
+                for u in on_trail:
+                    if free_out[u] and free_in[u] and _on_unused_cycle(u, out_of, target, used):
+                        break
+                else:
                     found.append(tuple(path))
                 break
             else:
@@ -343,10 +333,13 @@ def maximal_paths(quiver, max_edges=64, max_paths=200000):
                     e = path.pop()
                     v, w = source[e], target[e]
                     visits[w] -= 1
+                    if not visits[w]:
+                        on_trail.pop()
                     free_in[w] += 1
                     free_out[v] += 1
                     used[e] = False
         visits[tail] -= 1
+        on_trail.pop()
     found.sort()
     return found
 
@@ -367,11 +360,11 @@ def _on_unused_cycle(v, out_of, target, used):
     return False
 
 
-def edge_char_polynomial(quiver, var="t"):
+def edge_char_polynomial(quiver):
     """Sum over edges of det(t*I - action matrix)."""
     out = GroupExponentPolynomial.zero()
     for _, _, mat in quiver.edges:
-        out = out + char_poly(mat, var)
+        out = out + char_poly(mat)
     return out
 
 
@@ -393,7 +386,7 @@ def _mat_mul(a, b):
     )
 
 
-def path_polynomials(quiver, var="t", char_path_var="s", matrix_path_var="z", **caps):
+def path_polynomials(quiver):
     """(path characteristic polynomial, path matrix polynomial) from one
     enumeration of the maximal paths.
 
@@ -413,7 +406,7 @@ def path_polynomials(quiver, var="t", char_path_var="s", matrix_path_var="z", **
     terms = {}
     prev = ()
     prefix = []  # prefix[i]: the product of the first i + 1 edges of prev
-    for path in maximal_paths(quiver, **caps):
+    for path in maximal_paths(quiver):
         shared = 0
         for a, b in zip(prev, path):
             if a != b:
@@ -428,10 +421,9 @@ def path_polynomials(quiver, var="t", char_path_var="s", matrix_path_var="z", **
         if pair is None:
             mat = prefix[-1]
             pair = terms[key] = (
-                char_poly(mat, var)
-                * GroupExponentPolynomial.monomial(1, {char_path_var: len(path)}),
+                char_poly(mat) * GroupExponentPolynomial.monomial(1, {"s": len(path)}),
                 matrix_poly(mat, labels, labels, m, row_var="y", col_var="x")
-                * GroupExponentPolynomial.monomial(1, {matrix_path_var: len(path)}, m),
+                * GroupExponentPolynomial.monomial(1, {"z": len(path)}, m),
             )
         for out, poly in zip((chi, pm), pair):
             for k, c in poly.terms.items():
@@ -442,15 +434,15 @@ def path_polynomials(quiver, var="t", char_path_var="s", matrix_path_var="z", **
     )
 
 
-def path_char_polynomial(quiver, var="t", path_var="s", **caps):
+def path_char_polynomial(quiver):
     """Sum over maximal paths of det(t*I - product matrix) * s^length."""
-    return path_polynomials(quiver, var=var, char_path_var=path_var, **caps)[0]
+    return path_polynomials(quiver)[0]
 
 
-def path_matrix_polynomial(quiver, path_var="z", **caps):
+def path_matrix_polynomial(quiver):
     """Sum over maximal paths of the entry polynomial times z^length.
 
     For a path product matrix, x tracks the column label (where the
     path starts) and y the row label (where it ends).
     """
-    return path_polynomials(quiver, matrix_path_var=path_var, **caps)[1]
+    return path_polynomials(quiver)[1]

@@ -7,7 +7,6 @@ from knotquiver.algebra import (
     alexander_cyclic,
     builtin,
     check_axioms,
-    compose,
     conjugation_quandle,
     constant_action_biquandle_z2,
     core_cyclic,
@@ -113,12 +112,3 @@ def test_endomorphisms_of_swap3():
 
 def test_endomorphisms_of_trivial():
     assert len(endomorphisms(trivial_quandle(2))) == 4
-
-
-def test_compose():
-    f = (2, 2, 1)
-    g = (3, 1, 2)
-    assert compose(f, g) == (1, 2, 2)
-    ident = (1, 2, 3)
-    assert compose(f, ident) == f
-    assert compose(ident, f) == f

@@ -1,6 +1,9 @@
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +53,16 @@ def test_check_reports_non_cocycles(capsys):
     assert code == 1
     assert "cocycle 1 over Z_3: ok" in out
     assert "NOT a cocycle" in out
+
+
+@pytest.mark.parametrize("vectors, length", [("[[]]", 0), ("[[0,1,0,1,0,0,0]]", 7)])
+def test_check_rejects_wrong_vector_length(capsys, vectors, length):
+    code, out, err = run(
+        capsys, "check", "--quandle", "swap3", "--group", "3", "--cocycles", vectors,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: vector length %d, basis size 6\n" % length
 
 
 def test_homset_catalog_link(capsys):
@@ -121,6 +134,34 @@ def test_enumeration_cap_exit_code(capsys):
     )
     assert code == 2
     assert "limit" in err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SWAP3_ALL_ENDOS = ("--quandle", "swap3", "--group", "3", "--cocycles", "h2-generators")
+
+
+def run_subprocess(*argv):
+    # should the path search ever run unbounded again, the timeout fails
+    # the test instead of hanging the suite
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "knotquiver", *argv], env=env,
+        capture_output=True, text=True, timeout=30,
+    )
+
+
+def test_step_budget_stops_swap3_all_endos():
+    proc = run_subprocess("invariants", "--link", "3_1", *SWAP3_ALL_ENDOS)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("limit exceeded: maximal_paths: 500001 extension steps")
+
+
+def test_step_budget_gives_batch_limit_rows():
+    proc = run_subprocess("batch", "--links", "3_1,L2a1", *SWAP3_ALL_ENDOS)
+    assert proc.returncode == 0
+    rows = proc.stdout.strip().splitlines()
+    assert [row.split("\t")[0] for row in rows] == ["3_1", "L2a1"]
+    assert all(row.split("\t")[1].startswith("limit: maximal_paths: ") for row in rows)
 
 
 def test_batch_rows(capsys):

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from knotquiver import polynomials
 from knotquiver.algebra import core_cyclic
 from knotquiver.catalog import get_diagram
 from knotquiver.cohomology import CoeffGroup
@@ -14,7 +15,6 @@ from knotquiver.polynomials import (
     matrix_poly,
     maximal_paths,
     path_polynomials,
-    render_root_form,
     specialize,
 )
 from knotquiver.quiver import DataVector, build_representation
@@ -117,12 +117,6 @@ def test_specialize_drop_and_merge():
         specialize(bad, merge_xy_to_q=True)
 
 
-def test_render_root_form():
-    assert render_root_form([(0, 8), (1, 8)]) == "q^8(q-1)^8"
-    assert render_root_form([(2, 1)]) == "(q-2)"
-    assert render_root_form([]) == "1"
-
-
 def quiver_of(edges, labels=None, modulus=2):
     return SimpleNamespace(edges=edges, labels=labels or [], modulus=modulus)
 
@@ -149,21 +143,25 @@ def test_maximal_paths_disconnected_loops():
     assert maximal_paths(q) == [(0,), (1,)]
 
 
-def test_maximal_paths_edge_cap():
-    q = quiver_of([(0, 0, None), (1, 1, None)])
-    with pytest.raises(LimitError):
-        maximal_paths(q, max_edges=1)
+def test_maximal_paths_has_no_edge_cap():
+    q = quiver_of([(v, v, None) for v in range(100)])
+    assert maximal_paths(q) == [(e,) for e in range(100)]
 
 
-def test_maximal_paths_limit_names_the_stage():
-    q = quiver_of([(0, 1, None), (0, 2, None), (0, 3, None)])
+def bridge_quiver():
+    # two loops joined by a two-way bridge: 4 maximal paths, 8 dead ends
+    # and 22 trails, so the search takes 22 extension steps
+    return quiver_of([(0, 0, None), (0, 1, None), (1, 1, None), (1, 0, None)])
+
+
+def test_maximal_paths_limit_names_the_stage(monkeypatch):
+    # the last step would reach the eighth dead end
+    monkeypatch.setattr(polynomials, "STEP_BUDGET", 21)
     with pytest.raises(LimitError) as exc:
-        maximal_paths(q, max_paths=2)
+        maximal_paths(bridge_quiver())
     assert str(exc.value) == (
-        "maximal_paths: 3 dead-end trails (cap 2), 2 maximal so far, 3 edges")
-    with pytest.raises(LimitError) as exc:
-        maximal_paths(q, max_edges=2)
-    assert str(exc.value) == "maximal_paths: 3 edges (cap 2)"
+        "maximal_paths: 22 extension steps (budget 21), 7 dead ends,"
+        " 4 maximal so far, 4 edges")
 
 
 # ----------------------------------------------------- reference oracle
@@ -276,23 +274,47 @@ def test_maximal_paths_match_reference_on_core4_quivers(link, endos, paths):
     assert_matches_reference(q)
 
 
-def test_maximal_paths_cap_counts_dead_ends():
-    # two loops joined by a two-way bridge: 4 maximal paths, but more
-    # dead ends, which the cap counts
-    q = quiver_of([(0, 0, None), (0, 1, None), (1, 1, None), (1, 0, None)])
-    dead_ends = len(reference_candidates(q))
-    assert dead_ends > len(maximal_paths(q)) == 4
-    assert len(maximal_paths(q, max_paths=dead_ends)) == 4
+def reference_trail_count(quiver):
+    """The number of non-empty trails, one extension step each."""
+    count = 0
+    stack = [(e,) for e in range(len(quiver.edges))]
+    while stack:
+        path = stack.pop()
+        count += 1
+        head = quiver.edges[path[-1]][1]
+        stack.extend(
+            path + (e,) for e, (src, _, _) in enumerate(quiver.edges)
+            if src == head and e not in path)
+    return count
+
+
+def test_maximal_paths_budget_counts_steps(monkeypatch):
+    q = bridge_quiver()
+    steps = reference_trail_count(q)
+    assert steps == 22
+    assert len(reference_candidates(q)) == 8
+    monkeypatch.setattr(polynomials, "STEP_BUDGET", steps)
+    assert len(maximal_paths(q)) == 4
+    monkeypatch.setattr(polynomials, "STEP_BUDGET", steps - 1)
     with pytest.raises(LimitError):
-        maximal_paths(q, max_paths=dead_ends - 1)
+        maximal_paths(q)
 
 
 def test_maximal_paths_cap_stops_a_dense_quiver_fast():
     # the shape of 2.1 under all 16 endomorphisms of core-4: 4 vertices
-    # and 4 parallel arcs on every ordered pair, loops included
+    # and 4 parallel arcs on every ordered pair, loops included; the
+    # real step budget stops it
     q = quiver_of([(a, b, None) for a in range(4) for b in range(4) for _ in range(4)])
     assert len(q.edges) == 64
     start = time.perf_counter()
     with pytest.raises(LimitError):
-        maximal_paths(q, max_paths=1000)
-    assert time.perf_counter() - start < 1.0
+        maximal_paths(q)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_maximal_paths_dead_end_test_scans_only_the_trail():
+    # 6561 disjoint loops: 6561 steps and dead ends, each tested in O(1)
+    q = quiver_of([(v, v, None) for v in range(6561)])
+    start = time.perf_counter()
+    assert len(maximal_paths(q)) == 6561
+    assert time.perf_counter() - start < 0.5
