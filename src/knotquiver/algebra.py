@@ -267,7 +267,7 @@ def endomorphisms(bq):
 
 
 def is_homomorphism(src, dst, images):
-    if len(images) != src.n:
+    if len(images) != src.n or any(y not in dst.elements for y in images):
         return False
     f = lambda x: images[x - 1]
     return all(

@@ -73,12 +73,20 @@ def load_link(args):
     raise ValueError("link %r not in catalog; pass an inline code with --format" % name)
 
 
+def _int_lists(blob):
+    """Whether a parsed JSON value is a list of lists of integers."""
+    return isinstance(blob, list) and all(
+        isinstance(v, list) and all(type(x) is int for x in v) for v in blob)
+
+
 def parse_cocycles(spec, bq, coeff):
     """The vectors of --cocycles: 'h2-generators' or a JSON list of
     vectors, each as long as the pair basis."""
     if spec == "h2-generators":
         return [vec for _, vec in h2_generators(bq, coeff)]
-    vectors = [list(v) for v in json.loads(spec)]
+    vectors = json.loads(spec)
+    if not _int_lists(vectors):
+        raise ValueError("--cocycles wants a JSON list of integer vectors, got %s" % spec)
     want = len(pair_basis(bq))
     for vec in vectors:
         if len(vec) != want:
@@ -105,8 +113,11 @@ def load_endos(args, bq):
         return endomorphisms(bq)
     if spec == "identity":
         return [tuple(bq.elements)]
+    endos = json.loads(spec)
+    if not _int_lists(endos):
+        raise ValueError("--endos wants a JSON list of image lists, got %s" % spec)
     # DataVector rejects a map that is not an endomorphism
-    return [tuple(e) for e in json.loads(spec)]
+    return [tuple(e) for e in endos]
 
 
 def emit(text, args):

@@ -13,6 +13,10 @@ x > y > s > t > z; q-terms render in ascending order instead so small
 weights read first.
 """
 
+from itertools import permutations, product
+
+from .intlinalg import mat_mul
+
 VAR_PRECEDENCE = ("x", "y", "s", "t", "z", "q")
 GROUP_VARS = frozenset(("x", "y", "q"))
 
@@ -21,7 +25,7 @@ class LimitError(RuntimeError):
     """Raised when a search exceeds its work budget (see STEP_BUDGET)."""
 
 
-# extension steps maximal_paths may take; read at call time
+# labeled extension steps the path search may take; read at call time
 STEP_BUDGET = 500_000
 
 
@@ -251,107 +255,169 @@ def maximal_paths(quiver):
     subsequence (order preserving, not necessarily contiguous) of any
     other such path.
 
+    The search runs over arrow classes: the arrows with equal source,
+    target and matrix.  Such arrows can be swapped in any path, so it
+    keeps a count of unused arrows per class and extends trails of
+    classes.  A class trail with k_c steps in class c of n_c arrows
+    stands for the product of n_c! / (n_c - k_c)! labeled trails, its
+    weight; each maximal class path is expanded here into that many
+    labeled paths.
+
     The search extends trails at the head only.  A dead end is a trail
     with no unused edge out of its head and none into its tail; every
     maximal path is one.  A dead end is maximal exactly when no vertex
     it visits lies on a cycle of unused edges: whatever a longer path
     inserts between two of its edges is a closed trail of unused edges
-    at the vertex they share, and any such cycle can be inserted.
+    at the vertex they share, and any such cycle can be inserted.  Both
+    tests read only which classes have arrows left, so maximality is a
+    property of the class trail.
 
-    An extension step is one edge pushed onto the trail.  The search
-    raises LimitError on step STEP_BUDGET + 1.  Every dead end follows
-    a step, and its test scans only the distinct vertices of the trail,
-    so the budget bounds the whole search, the tests included.
+    The budget counts labeled trails: an extension step is one edge
+    pushed onto a labeled trail, and a class step adds its weight.  The
+    search raises LimitError once the steps pass STEP_BUDGET, naming
+    step STEP_BUDGET + 1, which lies inside the class step that passed
+    it.  Dead ends and maximal paths are counted in the same units.
+    Every dead end follows a class step, and its test scans only the
+    distinct vertices of the trail, so the budget bounds the whole
+    search, the tests included.
+    """
+    members, found = _class_paths(quiver)
+    out = []
+    for path, _ in found:
+        # the places of each class on the path take its arrows in every
+        # order, one labeled path per choice
+        slots = {}
+        for i, c in enumerate(path):
+            slots.setdefault(c, []).append(i)
+        labeled = list(path)
+        for picks in product(*(permutations(members[c], len(at)) for c, at in slots.items())):
+            for at, arrows in zip(slots.values(), picks):
+                for i, e in zip(at, arrows):
+                    labeled[i] = e
+            out.append(tuple(labeled))
+    out.sort()
+    return out
+
+
+def _class_paths(quiver):
+    """The one trail search behind maximal_paths and path_polynomials.
+
+    Returns (members, found): members[c] lists the arrows of class c in
+    index order, and found holds (class path, weight) pairs, sorted.
+    See maximal_paths for what is searched and how the budget counts.
     """
     budget = STEP_BUDGET
     n = len(quiver.edges)
-    # vertices renumbered 0..V-1 so that per-vertex state lives in lists
+    # arrows with equal (source, target, matrix) form a class, numbered
+    # in order of first arrow; vertices renumbered 0..V-1 so that
+    # per-vertex state lives in lists
     index = {}
-    source = [index.setdefault(src, len(index)) for src, _, _ in quiver.edges]
-    target = [index.setdefault(tgt, len(index)) for _, tgt, _ in quiver.edges]
+    by_key = {}
+    members = []
+    source, target = [], []
+    for e, (src, tgt, mat) in enumerate(quiver.edges):
+        key = (src, tgt, None if mat is None else tuple(map(tuple, mat)))
+        c = by_key.get(key)
+        if c is None:
+            c = by_key[key] = len(members)
+            members.append([])
+            source.append(index.setdefault(src, len(index)))
+            target.append(index.setdefault(tgt, len(index)))
+        members[c].append(e)
+    nc = len(members)
     nv = len(index)
     out_of = [[] for _ in range(nv)]
-    for e in range(n):
-        out_of[source[e]].append(e)
-    # unused edges out of and into each vertex, and visits by the trail
-    free_out = [len(es) for es in out_of]
+    for c in range(nc):
+        out_of[source[c]].append(c)
+    # unused arrows of each class, out of and into each vertex, and
+    # visits by the trail
+    left = [len(es) for es in members]
+    free_out = [0] * nv
     free_in = [0] * nv
-    for v in target:
-        free_in[v] += 1
+    for c in range(nc):
+        free_out[source[c]] += left[c]
+        free_in[target[c]] += left[c]
     visits = [0] * nv
     # the trail's distinct vertices in order of first visit; the trail
     # grows and shrinks at the head, so a vertex leaves in reverse order
     on_trail = []
-    used = [False] * n
     path = []
+    # weight[i]: the labeled trails that path[:i] stands for
+    weight = [1]
     found = []
-    steps = dead_ends = 0
+    steps = dead_ends = maximal = 0
     exhausted = iter(())
-    for first in range(n):
+    for first in range(nc):
         tail = source[first]
         visits[tail] += 1
         on_trail.append(tail)
-        # iters[i] yields the edges that may follow path[:i]
+        # iters[i] yields the classes that may follow path[:i]
         iters = [iter((first,))]
         while iters:
-            for e in iters[-1]:
-                if used[e]:
+            for c in iters[-1]:
+                k = left[c]
+                if not k:
                     continue
-                steps += 1
+                trails = weight[-1] * k
+                steps += trails
                 if steps > budget:
+                    # the (budget + 1)-th labeled trail lies in this step
                     raise LimitError(
                         "maximal_paths: %d extension steps (budget %d), %d dead ends,"
                         " %d maximal so far, %d edges"
-                        % (steps, budget, dead_ends, len(found), n)
+                        % (budget + 1, budget, dead_ends, maximal, n)
                     )
-                v, w = source[e], target[e]
-                used[e] = True
+                v, w = source[c], target[c]
+                left[c] = k - 1
                 free_out[v] -= 1
                 free_in[w] -= 1
                 if not visits[w]:
                     on_trail.append(w)
                 visits[w] += 1
-                path.append(e)
+                path.append(c)
+                weight.append(trails)
                 if free_out[w]:
                     iters.append(iter(out_of[w]))
                     break
                 iters.append(exhausted)
                 if free_in[tail]:
                     break
-                dead_ends += 1
-                # a vertex on an unused cycle has unused edges in and
+                dead_ends += trails
+                # a vertex on an unused cycle has unused arrows in and
                 # out, so the head and the tail are never tried
                 for u in on_trail:
-                    if free_out[u] and free_in[u] and _on_unused_cycle(u, out_of, target, used):
+                    if free_out[u] and free_in[u] and _on_unused_cycle(u, out_of, target, left):
                         break
                 else:
-                    found.append(tuple(path))
+                    found.append((tuple(path), trails))
+                    maximal += trails
                 break
             else:
                 iters.pop()
                 if path:
-                    e = path.pop()
-                    v, w = source[e], target[e]
+                    c = path.pop()
+                    weight.pop()
+                    v, w = source[c], target[c]
                     visits[w] -= 1
                     if not visits[w]:
                         on_trail.pop()
                     free_in[w] += 1
                     free_out[v] += 1
-                    used[e] = False
+                    left[c] += 1
         visits[tail] -= 1
         on_trail.pop()
     found.sort()
-    return found
+    return members, found
 
 
-def _on_unused_cycle(v, out_of, target, used):
-    """Whether a closed trail of unused edges passes through vertex v."""
+def _on_unused_cycle(v, out_of, target, left):
+    """Whether a closed trail of unused arrows passes through vertex v."""
     seen = {v}
     stack = [v]
     while stack:
-        for e in out_of[stack.pop()]:
-            if not used[e]:
-                w = target[e]
+        for c in out_of[stack.pop()]:
+            if left[c]:
+                w = target[c]
                 if w == v:
                     return True
                 if w not in seen:
@@ -378,17 +444,9 @@ def edge_matrix_polynomial(quiver):
     return out
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def path_polynomials(quiver):
     """(path characteristic polynomial, path matrix polynomial) from one
-    enumeration of the maximal paths.
+    search of the maximal paths.
 
     The characteristic polynomial sums det(t*I - product matrix) * s^length
     over the maximal paths, the matrix polynomial the entry polynomial of
@@ -396,25 +454,29 @@ def path_polynomials(quiver):
     (where the path starts) and y the row label (where it ends).  The
     first edge acts first, so it is the rightmost factor of the product.
 
-    The paths come sorted, so consecutive paths share a prefix and its
+    The sum runs over maximal class paths (see maximal_paths): all the
+    labeled paths of a class path have the same product and length, so
+    its terms count once per labeled path, times its weight.  The class
+    paths come sorted, so consecutive paths share a prefix and its
     product is reused; equal (product, length) pairs share their terms.
     """
     m = quiver.modulus
     labels = quiver.labels
-    steps = [tuple(map(tuple, mat)) for _, _, mat in quiver.edges]
+    members, found = _class_paths(quiver)
+    mats = [tuple(map(tuple, quiver.edges[es[0]][2])) for es in members]
     chi, pm = {}, {}
     terms = {}
     prev = ()
-    prefix = []  # prefix[i]: the product of the first i + 1 edges of prev
-    for path in maximal_paths(quiver):
+    prefix = []  # prefix[i]: the product of the first i + 1 classes of prev
+    for path, weight in found:
         shared = 0
         for a, b in zip(prev, path):
             if a != b:
                 break
             shared += 1
         del prefix[shared:]
-        for e in path[shared:]:
-            prefix.append(_mat_mul(steps[e], prefix[-1]) if prefix else steps[e])
+        for c in path[shared:]:
+            prefix.append(tuple(map(tuple, mat_mul(mats[c], prefix[-1]))) if prefix else mats[c])
         prev = path
         key = (prefix[-1], len(path))
         pair = terms.get(key)
@@ -427,7 +489,7 @@ def path_polynomials(quiver):
             )
         for out, poly in zip((chi, pm), pair):
             for k, c in poly.terms.items():
-                out[k] = out.get(k, 0) + c
+                out[k] = out.get(k, 0) + c * weight
     return (
         GroupExponentPolynomial({k: c for k, c in chi.items() if c}),
         GroupExponentPolynomial({k: c for k, c in pm.items() if c}, m),

@@ -110,5 +110,11 @@ def test_endomorphisms_of_swap3():
         assert is_homomorphism(swap3(), swap3(), f)
 
 
+def test_is_homomorphism_rejects_images_outside_the_algebra():
+    # 9 is no element of swap3, so the map is not one, whatever the tables say
+    assert not is_homomorphism(swap3(), swap3(), (1, 2, 9))
+    assert not is_homomorphism(swap3(), swap3(), (0, 2, 1))
+
+
 def test_endomorphisms_of_trivial():
     assert len(endomorphisms(trivial_quandle(2))) == 4

@@ -219,6 +219,38 @@ def test_non_endomorphism_is_validation_failure(capsys, verb, link_args):
     assert err == NON_ENDO_ERROR
 
 
+MALFORMED_COCYCLES = ("5", "[1,2]", '[[0,0,0,0,0,"a"]]', "[[0,0,0,0,0,0.5]]")
+
+
+@pytest.mark.parametrize("cocycles", MALFORMED_COCYCLES)
+@pytest.mark.parametrize("verb, link_args", [
+    ("check", ()),
+    ("invariants", ("--link", "L4a1", "--endos", "[[2,2,1]]")),
+])
+def test_malformed_cocycles_are_validation_failures(capsys, verb, link_args, cocycles):
+    code, out, err = run(
+        capsys, verb, *link_args, "--quandle", "swap3", "--group", "3",
+        "--cocycles", cocycles,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("endos, message", [
+    ("[1,2,3]", "error: --endos wants a JSON list of image lists, got [1,2,3]\n"),
+    ("[[1,2,9]]", "error: map (1, 2, 9) is not an endomorphism\n"),
+])
+def test_malformed_endos_are_validation_failures(capsys, endos, message):
+    code, out, err = run(
+        capsys, "invariants", "--link", "L4a1", "--quandle", "swap3", "--group", "3",
+        "--cocycles", "[[0,1,0,1,0,0]]", "--endos", endos,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == message
+
+
 def invariants_record(capsys, link, quandle, group, cocycles, endos):
     code, out, _ = run(
         capsys, "invariants", "--link", link, "--quandle", quandle,

@@ -300,6 +300,55 @@ def test_maximal_paths_budget_counts_steps(monkeypatch):
         maximal_paths(q)
 
 
+def doubled_bridge_quiver():
+    # every arrow of the bridge quiver twice: 4 classes of 2 parallel
+    # arrows, 576 maximal paths, 1056 dead ends and 3188 trails
+    return quiver_of([edge for edge in bridge_quiver().edges for _ in range(2)])
+
+
+def test_maximal_paths_budget_counts_labeled_trails(monkeypatch):
+    q = doubled_bridge_quiver()
+    steps = reference_trail_count(q)
+    assert steps == 3188
+    monkeypatch.setattr(polynomials, "STEP_BUDGET", steps)
+    assert maximal_paths(q) == reference_maximal_paths(q)
+    monkeypatch.setattr(polynomials, "STEP_BUDGET", steps - 1)
+    with pytest.raises(LimitError) as exc:
+        maximal_paths(q)
+    # the last class step stands for the last 8 trails, all dead ends
+    assert str(exc.value) == (
+        "maximal_paths: 3188 extension steps (budget 3187), 1048 dead ends,"
+        " 576 maximal so far, 8 edges")
+
+
+def random_parallel_quiver(rng):
+    # a few arrows, each repeated 1 to 3 times with its matrix, so that
+    # classes of parallel arrows sit beside arrows with their own matrix;
+    # 5 arrows at most keep the quadratic reference fast
+    nv = rng.randint(1, 3)
+    edges = []
+    while len(edges) < 5:
+        edge = (rng.randrange(nv), rng.randrange(nv), random_matrix(rng))
+        edges.extend([edge] * min(rng.randint(1, 3), 5 - len(edges)))
+        if rng.random() < 0.3:
+            break
+    return quiver_of(edges, labels=[0, 1], modulus=3)
+
+
+def test_class_search_matches_reference_on_parallel_arrows(monkeypatch):
+    rng = random.Random(7)
+    for _ in range(300):
+        q = random_parallel_quiver(rng)
+        assert_matches_reference(q)
+        steps = reference_trail_count(q)
+        monkeypatch.setattr(polynomials, "STEP_BUDGET", steps)
+        path_polynomials(q)
+        monkeypatch.setattr(polynomials, "STEP_BUDGET", steps - 1)
+        with pytest.raises(LimitError, match="^maximal_paths: %d extension steps " % steps):
+            maximal_paths(q)
+        monkeypatch.undo()
+
+
 def test_maximal_paths_cap_stops_a_dense_quiver_fast():
     # the shape of 2.1 under all 16 endomorphisms of core-4: 4 vertices
     # and 4 parallel arcs on every ordered pair, loops included; the
@@ -310,6 +359,20 @@ def test_maximal_paths_cap_stops_a_dense_quiver_fast():
     with pytest.raises(LimitError):
         maximal_paths(q)
     assert time.perf_counter() - start < 2.0
+
+
+def test_path_polynomials_stop_the_2_1_shape_at_the_budget():
+    # the same shape with one matrix on every arrow: 16 classes of 4
+    # parallel arrows, stopped after a few class steps
+    identity = [[1, 0], [0, 1]]
+    q = quiver_of(
+        [(a, b, identity) for a in range(4) for b in range(4) for _ in range(4)],
+        labels=[0, 1], modulus=3)
+    start = time.perf_counter()
+    with pytest.raises(LimitError) as exc:
+        path_polynomials(q)
+    assert time.perf_counter() - start < 0.5
+    assert str(exc.value).startswith("maximal_paths: 500001 extension steps (budget 500000)")
 
 
 def test_maximal_paths_dead_end_test_scans_only_the_trail():
