@@ -178,23 +178,6 @@ def swap3():
     return quandle([[1, 1, 2], [2, 2, 1], [3, 3, 3]], name="swap3")
 
 
-def conjugation_quandle(mult, name=None):
-    """Conjugation quandle x . y = y^-1 x y of a group given by its table."""
-    n = len(mult)
-    inv = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if mult[x][y] == 1:
-                inv[x] = y + 1
-    def times(a, b):
-        return mult[a - 1][b - 1]
-    under = [
-        [times(times(inv[y - 1], x), y) for y in range(1, n + 1)]
-        for x in range(1, n + 1)
-    ]
-    return quandle(under, name=name or "conj-%d" % n)
-
-
 def builtin(name):
     """Look up a built-in algebra: trivial-N, core-M, alexander-M-T, swap3, flip2."""
     if name == "swap3":
@@ -222,7 +205,7 @@ def homomorphisms(src, dst):
     n = src.n
     out = []
 
-    def propagate(images):
+    def close(images):
         # images: dict elem -> image; extend by forced values, or None on clash
         images = dict(images)
         changed = True
@@ -246,7 +229,7 @@ def homomorphisms(src, dst):
         return images
 
     def search(images):
-        images = propagate(images)
+        images = close(images)
         if images is None:
             return
         if len(images) == n:

@@ -31,7 +31,6 @@ from .homset import chain_vector, colorings, pair_basis
 from .intlinalg import (
     mat_mul,
     quotient_structure,
-    rank_mod_prime,
     snf,
     solve,
     transpose,
@@ -168,25 +167,6 @@ def coboundary_generators(bq, coeff):
     if coeff.modulus:
         gens += [[coeff.modulus if i == j else 0 for i in range(p)] for j in range(p)]
     return gens
-
-
-def cocycle_space(bq, coeff):
-    """A basis of the space of 2-cocycles.
-
-    For integer coefficients: a lattice basis.  For a finite modulus the
-    reduction of the lattice basis is pruned to an independent set; this
-    is a vector-space basis when the modulus is prime.
-    """
-    lat = cocycle_lattice(bq, coeff)
-    m = coeff.modulus
-    if m == 0:
-        return lat
-    reduced = [[x % m for x in v] for v in lat]
-    out = []
-    for v in reduced:
-        if any(v) and rank_mod_prime(out + [v], m) > len(out):
-            out.append(v)
-    return out
 
 
 def h2_generators(bq, coeff):

@@ -5,7 +5,21 @@ positive crossing under_out = under(under_in, over_in) and
 over_out = over(over_in, under_in), and at each negative crossing the
 same relations hold with in and out swapped.  Colorings are stored as
 tuples indexed by semiarc label.
+
+The search runs a plan compiled once per diagram (see _plan).  Which
+relation fires at a crossing depends only on which of its four
+semiarcs are known, never on their colors, and so does the choice of
+the next free semiarc.  A dry run over "known" flags therefore fixes
+everything but the values: the semiarc chosen freely at each level, the
+lookups that derive the semiarcs the choice forces, and the equations
+left to check at the crossings it completes.  Each crossing belongs to
+exactly one level and is verified there once.  The search assigns each
+free semiarc every element in turn and does flat table lookups; a level
+writes the same semiarcs on every visit, so backtracking undoes nothing.
 """
+
+# the six operation tables of _tables, in this order
+UNDER, OVER, UNDER_INV, OVER_INV, THROUGH_INV_1, THROUGH_INV_2 = range(6)
 
 
 def _constraints(diagram):
@@ -19,61 +33,120 @@ def _constraints(diagram):
     return cons
 
 
-def colorings(diagram, bq):
-    """All colorings in lexicographic order."""
+def _plan(diagram):
+    """The search plan: one (free, derive, check) triple per level.
+
+    free is the lowest semiarc still unknown when the level starts.
+    derive lists steps (table, target, p, q) that set target to
+    table(p, q), in order; check lists steps of the same form that must
+    hold as equations.  Every semiarc but the free ones is derived
+    exactly once, and never overwritten.
+
+    A crossing (p1, p2, q1, q2) fires once two of its semiarcs fix the
+    rest: (p1, p2) by through, (q1, q2) by through_inv, (p1, q2) and
+    (p2, q1) by one inverse and one forward lookup.  The two steps of a
+    firing state the crossing's relation in full, so a step whose target
+    is already known becomes a check instead; a crossing that fires with
+    all four known is checked in full, and one that fires with two known
+    holds by construction.  Each crossing fires exactly once.
+    """
     n = diagram.n_semiarcs
     cons = _constraints(diagram)
-    touching = {}
+    touching = [[] for _ in range(n)]
     for idx, quad in enumerate(cons):
         for s in set(quad):
-            touching.setdefault(s, []).append(idx)
-    color = [0] * n
-    out = []
-
-    def propagate(queue, trail):
-        while queue:
-            idx = queue.pop()
+            touching[s].append(idx)
+    known = [False] * n
+    fired = [False] * len(cons)
+    plan = []
+    for free in range(n):
+        if known[free]:
+            continue
+        known[free] = True
+        derive, check = [], []
+        stack = list(touching[free])
+        while stack:
+            idx = stack.pop()
+            if fired[idx]:
+                continue
             a, b, c, d = cons[idx]
-            va, vb, vc, vd = color[a], color[b], color[c], color[d]
-            if va and vb:
-                q1, q2 = bq.through(va, vb)
-                derived = ((c, q1), (d, q2))
-            elif vc and vd:
-                p1, p2 = bq.through_inv(vc, vd)
-                derived = ((a, p1), (b, p2))
-            elif va and vd:
-                p2 = bq.over_inv(vd, va)
-                derived = ((b, p2), (c, bq.under(va, p2)))
-            elif vb and vc:
-                p1 = bq.under_inv(vc, vb)
-                derived = ((a, p1), (d, bq.over(vb, p1)))
+            if known[a] and known[b]:
+                steps = ((UNDER, c, a, b), (OVER, d, b, a))
+            elif known[c] and known[d]:
+                steps = ((THROUGH_INV_1, a, c, d), (THROUGH_INV_2, b, c, d))
+            elif known[a] and known[d]:
+                steps = ((OVER_INV, b, d, a), (UNDER, c, a, b))
+            elif known[b] and known[c]:
+                steps = ((UNDER_INV, a, c, b), (OVER, d, b, a))
             else:
                 continue
-            for s, v in derived:
-                if color[s] == 0:
-                    color[s] = v
-                    trail.append(s)
-                    queue.extend(j for j in touching[s] if j != idx)
-                elif color[s] != v:
-                    return False
-        return True
+            fired[idx] = True
+            for step in steps:
+                target = step[1]
+                if known[target]:
+                    check.append(step)
+                else:
+                    known[target] = True
+                    derive.append(step)
+                    stack.extend(touching[target])
+        plan.append((free, derive, check))
+    return plan
 
-    def search(pos):
-        while pos < n and color[pos]:
-            pos += 1
-        if pos == n:
+
+def _tables(bq):
+    """The six operations as flat lists: table[x * (n + 1) + y]."""
+    size = bq.n + 1
+    tables = [[0] * (size * size) for _ in range(6)]
+    for x in bq.elements:
+        for y in bq.elements:
+            values = (bq.under(x, y), bq.over(x, y), bq.under_inv(x, y), bq.over_inv(x, y))
+            for table, v in zip(tables, values + bq.through_inv(x, y)):
+                table[x * size + y] = v
+    return tables
+
+
+def colorings(diagram, bq):
+    """All colorings in lexicographic order.
+
+    Runs the plan of _plan: each level assigns every element to its free
+    semiarc, derives the semiarcs that choice forces by table lookups and
+    tests the level's check equations before going deeper.  Derived
+    semiarcs lie past the level's free one, so colorings come out in
+    lexicographic order of the free choices, which is the lexicographic
+    order of the tuples.
+    """
+    size = bq.n + 1
+    tables = _tables(bq)
+    plan = [
+        (
+            free,
+            [(tables[k], t, p, q) for k, t, p, q in derive],
+            [(tables[k], t, p, q) for k, t, p, q in check],
+        )
+        for free, derive, check in _plan(diagram)
+    ]
+    depth = len(plan)
+    elements = bq.elements
+    color = [0] * diagram.n_semiarcs
+    out = []
+
+    def search(level):
+        if level == depth:
             out.append(tuple(color))
             return
-        for v in bq.elements:
-            trail = [pos]
-            color[pos] = v
-            if propagate(list(touching.get(pos, ())), trail):
-                search(pos + 1)
-            for s in trail:
-                color[s] = 0
+        free, derive, check = plan[level]
+        for v in elements:
+            color[free] = v
+            for tab, t, p, q in derive:
+                color[t] = tab[color[p] * size + color[q]]
+            for tab, t, p, q in check:
+                if color[t] != tab[color[p] * size + color[q]]:
+                    break
+            else:
+                search(level + 1)
 
     search(0)
-    return sorted(out)
+    return out
 
 
 def counting_invariant(diagram, bq):

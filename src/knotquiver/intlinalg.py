@@ -198,22 +198,6 @@ def snf(mat):
     return SNFResult(diag, v, v_inv, row_ops, m)
 
 
-def kernel_basis(mat, ncols=None):
-    """Basis columns of the integer kernel lattice {x : mat @ x = 0}.
-
-    The returned lattice is saturated: any integer kernel vector is an
-    integer combination of the basis.
-    """
-    if not mat:
-        return identity(ncols or 0)
-    res = snf(mat)
-    n = len(mat[0])
-    return [
-        [res.v[i][j] for i in range(n)]
-        for j in range(res.rank, n)
-    ]
-
-
 def solve(mat, rhs, res=None):
     """One integer solution x of mat @ x = rhs, or None."""
     if len(rhs) != len(mat):
@@ -261,27 +245,3 @@ def quotient_structure(basis_mat, gen_cols):
     new_basis = mat_mul(basis_mat, res.u_inv)
     gens = transpose(new_basis)
     return factors, gens
-
-
-def rank_mod_prime(mat, p):
-    """Rank of mat over the field with p elements."""
-    a = [[x % p for x in row] for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
-    col = 0
-    while rank < m and col < n:
-        piv = next((i for i in range(rank, m) if a[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][col], p - 2, p)
-        a[rank] = [(x * inv) % p for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][col]:
-                c = a[i][col]
-                a[i] = [(x - c * y) % p for x, y in zip(a[i], a[rank])]
-        rank += 1
-        col += 1
-    return rank

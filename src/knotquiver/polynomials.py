@@ -13,6 +13,7 @@ x > y > s > t > z; q-terms render in ascending order instead so small
 weights read first.
 """
 
+from collections import Counter
 from itertools import permutations, product
 
 from .intlinalg import mat_mul
@@ -427,21 +428,31 @@ def _on_unused_cycle(v, out_of, target, left):
 
 
 def edge_char_polynomial(quiver):
-    """Sum over edges of det(t*I - action matrix)."""
+    """Sum over edges of det(t*I - action matrix).
+
+    Equal matrices have equal terms, so each distinct matrix counts
+    once, times the number of edges that carry it.
+    """
+    counts = Counter(tuple(map(tuple, mat)) for _, _, mat in quiver.edges)
     out = GroupExponentPolynomial.zero()
-    for _, _, mat in quiver.edges:
-        out = out + char_poly(mat)
+    for mat, k in counts.items():
+        out = out + char_poly(mat) * k
     return out
 
 
 def edge_matrix_polynomial(quiver):
-    """Sum over edges of the entry polynomial, x on rows and y on columns."""
+    """Sum over edges of the entry polynomial, x on rows and y on columns.
+
+    The entry polynomial is linear in the matrix, so this is the entry
+    polynomial of the summed edge matrices.
+    """
     m = quiver.modulus
     labels = quiver.labels
-    out = GroupExponentPolynomial.zero(m)
-    for _, _, mat in quiver.edges:
-        out = out + matrix_poly(mat, labels, labels, m, row_var="x", col_var="y")
-    return out
+    total = [
+        [sum(entries) for entries in zip(*rows)]
+        for rows in zip(*(mat for _, _, mat in quiver.edges))
+    ]
+    return matrix_poly(total, labels, labels, m, row_var="x", col_var="y")
 
 
 def path_polynomials(quiver):

@@ -7,15 +7,32 @@ from knotquiver.algebra import (
     alexander_cyclic,
     builtin,
     check_axioms,
-    conjugation_quandle,
     constant_action_biquandle_z2,
     core_cyclic,
     endomorphisms,
     homomorphisms,
     is_homomorphism,
+    quandle,
     swap3,
     trivial_quandle,
 )
+
+
+def conjugation_quandle(mult, name=None):
+    """Conjugation quandle x . y = y^-1 x y of a group given by its table."""
+    n = len(mult)
+    inv = [0] * n
+    for x in range(n):
+        for y in range(n):
+            if mult[x][y] == 1:
+                inv[x] = y + 1
+    def times(a, b):
+        return mult[a - 1][b - 1]
+    under = [
+        [times(times(inv[y - 1], x), y) for y in range(1, n + 1)]
+        for x in range(1, n + 1)
+    ]
+    return quandle(under, name=name or "conj-%d" % n)
 
 
 def s3_mult_table():

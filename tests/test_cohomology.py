@@ -15,7 +15,6 @@ from knotquiver.cohomology import (
     coboundary_generators,
     cocycle_invariant,
     cocycle_lattice,
-    cocycle_space,
     evaluate,
     h2_coordinates,
     h2_generators,
@@ -26,14 +25,14 @@ from knotquiver.cohomology import (
 )
 from knotquiver.homset import chain_vector, colorings, pair_basis
 from knotquiver.intlinalg import (
-    kernel_basis,
     mat_vec,
     quotient_structure,
-    rank_mod_prime,
     snf,
     solve,
     transpose,
 )
+
+from test_intlinalg import kernel_basis, rank_mod_prime
 
 Z = CoeffGroup(0)
 Z2 = CoeffGroup(2)
@@ -46,6 +45,25 @@ SWAP3_EVAL_VECTORS = [
     [0, 0, 1, 0, 0, 0],
     [0, 0, 0, 0, 0, 1],
 ]
+
+
+def cocycle_space(bq, coeff):
+    """A basis of the space of 2-cocycles.
+
+    For integer coefficients: a lattice basis.  For a finite modulus the
+    reduction of the lattice basis is pruned to an independent set; this
+    is a vector-space basis when the modulus is prime.
+    """
+    lat = cocycle_lattice(bq, coeff)
+    m = coeff.modulus
+    if m == 0:
+        return lat
+    reduced = [[x % m for x in v] for v in lat]
+    out = []
+    for v in reduced:
+        if any(v) and rank_mod_prime(out + [v], m) > len(out):
+            out.append(v)
+    return out
 
 
 def test_coeff_group_parse():

@@ -4,15 +4,56 @@ from knotquiver.algebra import alexander_cyclic, core_cyclic
 from knotquiver.cohomology import boundary_matrices
 from knotquiver.intlinalg import (
     identity,
-    kernel_basis,
     mat_mul,
     mat_vec,
     quotient_structure,
-    rank_mod_prime,
     snf,
     solve,
     transpose,
 )
+
+
+# reference helpers, also used by test_cohomology.py
+
+
+def kernel_basis(mat, ncols=None):
+    """Basis columns of the integer kernel lattice {x : mat @ x = 0}.
+
+    The returned lattice is saturated: any integer kernel vector is an
+    integer combination of the basis.
+    """
+    if not mat:
+        return identity(ncols or 0)
+    res = snf(mat)
+    n = len(mat[0])
+    return [
+        [res.v[i][j] for i in range(n)]
+        for j in range(res.rank, n)
+    ]
+
+
+def rank_mod_prime(mat, p):
+    """Rank of mat over the field with p elements."""
+    a = [[x % p for x in row] for row in mat]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rank = 0
+    col = 0
+    while rank < m and col < n:
+        piv = next((i for i in range(rank, m) if a[i][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][col], p - 2, p)
+        a[rank] = [(x * inv) % p for x in a[rank]]
+        for i in range(m):
+            if i != rank and a[i][col]:
+                c = a[i][col]
+                a[i] = [(x - c * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+        col += 1
+    return rank
 
 
 def random_matrix(rng, m, n, lo=-6, hi=6):

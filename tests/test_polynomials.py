@@ -1,5 +1,7 @@
+import json
 import random
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +14,8 @@ from knotquiver.polynomials import (
     GroupExponentPolynomial as P,
     LimitError,
     char_poly,
+    edge_char_polynomial,
+    edge_matrix_polynomial,
     matrix_poly,
     maximal_paths,
     path_polynomials,
@@ -381,3 +385,44 @@ def test_maximal_paths_dead_end_test_scans_only_the_trail():
     start = time.perf_counter()
     assert len(maximal_paths(q)) == 6561
     assert time.perf_counter() - start < 0.5
+
+
+# --------------------------------------------------- edge polynomials
+
+POOL_FILE = Path(__file__).resolve().parent.parent / "benchmark" / "paths_pool.json"
+
+
+def reference_edge_polynomials(quiver):
+    """Both edge polynomials as plain sums of one term per edge."""
+    m = quiver.modulus
+    labels = quiver.labels
+    chi, pm = P.zero(), P.zero(m)
+    for _, _, mat in quiver.edges:
+        chi = chi + char_poly(mat)
+        pm = pm + matrix_poly(mat, labels, labels, m, row_var="x", col_var="y")
+    return chi, pm
+
+
+def assert_edge_polynomials_match_reference(quiver):
+    chi, pm = edge_char_polynomial(quiver), edge_matrix_polynomial(quiver)
+    ref_chi, ref_pm = reference_edge_polynomials(quiver)
+    assert chi.terms == ref_chi.terms
+    assert pm.terms == ref_pm.terms
+    assert (chi.modulus, pm.modulus) == (ref_chi.modulus, ref_pm.modulus)
+
+
+def test_edge_polynomials_match_reference_on_pool_quivers():
+    # every fourth quiver of the benchmark's pool: core-4 over Z_3 on
+    # catalog links with an endomorphism pair, many arrows per matrix
+    pool = json.loads(POOL_FILE.read_text())
+    endos = [tuple(e) for e in pool["endos"]]
+    for link, a, b, *_ in pool["entries"][::4]:
+        assert_edge_polynomials_match_reference(core4_quiver(link, (endos[a], endos[b])))
+
+
+def test_edge_polynomials_match_reference_on_random_quivers():
+    rng = random.Random(12)
+    for _ in range(300):
+        q = random_parallel_quiver(rng) if rng.random() < 0.5 else random_quiver(rng)
+        assert_edge_polynomials_match_reference(q)
+    assert_edge_polynomials_match_reference(quiver_of([], labels=[0, 1], modulus=3))
