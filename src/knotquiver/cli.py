@@ -25,9 +25,9 @@ import sys
 
 from .algebra import Biquandle, builtin, check_axioms, endomorphisms
 from .catalog import catalog_names, get_diagram
-from .cohomology import CoeffGroup, h2_generators, is_cocycle, state_sum
+from .cohomology import CoeffGroup, check_length, h2_generators, is_cocycle, state_sum
 from .diagram import parse_gauss, parse_pd
-from .homset import chain_vector, colorings, counting_invariant, pair_basis
+from .homset import chain_vector, colorings, counting_invariant
 from .polynomials import (
     LimitError,
     edge_char_polynomial,
@@ -87,10 +87,8 @@ def parse_cocycles(spec, bq, coeff):
     vectors = json.loads(spec)
     if not _int_lists(vectors):
         raise ValueError("--cocycles wants a JSON list of integer vectors, got %s" % spec)
-    want = len(pair_basis(bq))
     for vec in vectors:
-        if len(vec) != want:
-            raise ValueError("vector length %d, basis size %d" % (len(vec), want))
+        check_length(bq, vec)
     return vectors
 
 

@@ -18,9 +18,13 @@ computed once per algebra and kept on the Biquandle instance together
 with d2 and d3^T.  This is the universal-coefficient view: the
 cocycles over Z are the columns of v past the rank, and the lifts to
 Z^p of the cocycles over Z_m are spanned by the columns of v with
-column i scaled by m / gcd(d_i, m).  H^2 is the quotient of that
-lattice by the coboundaries (the rows of d2, plus m * Z^p over Z_m),
-again read off a Smith normal form.
+column i scaled by m / gcd(d_i, m).  The lattice coordinates of a
+cochain come from v^-1, not from a second Smith form: entry i of
+v^-1 x divided by m / gcd(d_i, m), or over Z the entries of v^-1 x
+past the rank.  H^2 is the quotient of the lattice by the coboundaries
+(the rows of d2, plus m * Z^p over Z_m); the one Smith form of their
+coordinate matrix, u * X * w = diag, gives its invariant factors and
+generators, and the class of a cocycle with coordinates x is u * x.
 """
 
 from dataclasses import dataclass
@@ -28,13 +32,7 @@ from functools import cached_property
 from math import gcd
 
 from .homset import chain_vector, colorings, pair_basis
-from .intlinalg import (
-    mat_mul,
-    quotient_structure,
-    snf,
-    solve,
-    transpose,
-)
+from .intlinalg import mat_mul, snf, transpose
 from .polynomials import GroupExponentPolynomial
 
 
@@ -105,12 +103,12 @@ def boundary_matrices(bq):
 
 class _Complex:
     """d2 and d3^T of one biquandle, the Smith form of d3^T (computed on
-    first use), and what is built once per coefficient modulus."""
+    first use), and H^2 per coefficient modulus."""
 
     def __init__(self, bq):
         self.d2, d3 = boundary_matrices(bq)
         self.d3t = transpose(d3)
-        self.per_modulus = {}
+        self.h2 = {}
 
     @cached_property
     def d3t_snf(self):
@@ -126,19 +124,17 @@ def _complex(bq):
     return cx
 
 
-def _per_modulus(bq, name, coeff, build):
-    """build(), called once per Biquandle instance, name and modulus."""
-    memo = _complex(bq).per_modulus
-    key = (name, coeff.modulus)
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
+def check_length(bq, vec):
+    """Raise ValueError unless vec is as long as the pair basis."""
+    want = len(_complex(bq).d2[0])
+    if len(vec) != want:
+        raise ValueError("vector length %d, basis size %d" % (len(vec), want))
 
 
-def _solver(cols):
-    # (matrix, Smith form) for solving against the given columns
-    mat = transpose(cols)
-    return mat, (snf(mat) if mat else None)
+def _scales(res, m):
+    # column i of v enters the lattice over Z_m scaled by m / gcd(d_i, m)
+    diag = res.diag + [0] * (len(res.v) - len(res.diag))
+    return [m // gcd(d, m) for d in diag]
 
 
 def cocycle_lattice(bq, coeff):
@@ -155,8 +151,25 @@ def cocycle_lattice(bq, coeff):
     m = coeff.modulus
     if m == 0:
         return cols[res.rank:]
-    diag = res.diag + [0] * (len(cols) - len(res.diag))
-    return [[x * (m // gcd(d, m)) for x in col] for d, col in zip(diag, cols)]
+    return [[x * s for x in col] for s, col in zip(_scales(res, m), cols)]
+
+
+def _lattice_coords(bq, coeff, vectors):
+    """Coordinates of each vector over the cocycle_lattice basis, read
+    off y = v^-1 vec; None for a vector outside the lattice, that is,
+    one that is not a cocycle."""
+    res = _complex(bq).d3t_snf
+    m = coeff.modulus
+    scales = _scales(res, m) if m else None
+    out = []
+    # row r of the product is v^-1 @ vectors[r]
+    for y in mat_mul(vectors, transpose(res.v_inv)):
+        if m == 0:
+            out.append(None if any(y[:res.rank]) else y[res.rank:])
+        else:
+            out.append(None if any(a % s for a, s in zip(y, scales))
+                       else [a // s for a, s in zip(y, scales)])
+    return out
 
 
 def coboundary_generators(bq, coeff):
@@ -169,6 +182,27 @@ def coboundary_generators(bq, coeff):
     return gens
 
 
+def _h2(bq, coeff):
+    """H^2 as lattice / coboundaries, built once per Biquandle instance
+    and modulus: (factors, res, generators).  res is the Smith form
+    u * X * w of the coboundary generators' lattice coordinates X;
+    factors pads its diagonal with 0 (free summands) to the lattice
+    rank, and column i of (lattice basis) * u^-1 generates summand i."""
+    memo = _complex(bq).h2
+    if coeff.modulus not in memo:
+        lat = cocycle_lattice(bq, coeff)
+        coords = _lattice_coords(bq, coeff, coboundary_generators(bq, coeff))
+        if None in coords:
+            raise ValueError("generator outside the spanned lattice")
+        res = snf(transpose(coords))
+        factors = res.diag + [0] * (len(lat) - len(res.diag))
+        reps = mat_mul(transpose(res.u_inv), lat)
+        gens = [(f, [coeff.reduce(x) for x in rep])
+                for f, rep in zip(factors, reps) if f != 1]
+        memo[coeff.modulus] = factors, res, gens
+    return memo[coeff.modulus]
+
+
 def h2_generators(bq, coeff):
     """Generators of the second cohomology group.
 
@@ -176,22 +210,11 @@ def h2_generators(bq, coeff):
     order 0 marks a free summand (integer coefficients only).  Trivial
     summands are dropped.
     """
-    lat = cocycle_lattice(bq, coeff)
-    if not lat:
-        return []
-    basis_mat = transpose(lat)
-    gens = coboundary_generators(bq, coeff)
-    factors, vectors = quotient_structure(basis_mat, gens)
-    out = []
-    for f, v in zip(factors, vectors):
-        if f == 1:
-            continue
-        vec = [coeff.reduce(x) for x in v]
-        out.append((f, vec))
-    return out
+    return [(f, list(vec)) for f, vec in _h2(bq, coeff)[2]]
 
 
 def is_cocycle(bq, coeff, vec):
+    check_length(bq, vec)
     for row in _complex(bq).d3t:
         s = sum(a * b for a, b in zip(row, vec))
         if coeff.reduce(s) != 0:
@@ -199,32 +222,29 @@ def is_cocycle(bq, coeff, vec):
     return True
 
 
+def _h2_class(bq, coeff, vec):
+    """(order, coordinate) per summand of H^2, trivial ones included, for
+    the class of vec; None when vec is not a cocycle."""
+    check_length(bq, vec)
+    factors, res, _ = _h2(bq, coeff)
+    x = _lattice_coords(bq, coeff, [vec])[0]
+    if x is None:
+        return None
+    return [(f, a % f if f else a) for f, a in zip(factors, res.apply_u(x))]
+
+
 def is_coboundary(bq, coeff, vec):
-    mat, res = _per_modulus(
-        bq, "coboundaries", coeff, lambda: _solver(coboundary_generators(bq, coeff)))
-    if not mat:
-        return not any(vec)
-    return solve(mat, list(vec), res) is not None
+    cls = _h2_class(bq, coeff, vec)
+    return cls is not None and not any(a for _, a in cls)
 
 
 def h2_coordinates(bq, coeff, vec):
-    """Coordinates of a cocycle's class over the h2 generators.
-
-    Solves vec = sum(a_i * gen_i) + coboundary over the integers and
-    returns each a_i reduced mod the generator's order.
-    """
-    def build():
-        gens = h2_generators(bq, coeff)
-        cols = [g for _, g in gens] + coboundary_generators(bq, coeff)
-        return [order for order, _ in gens], _solver(cols)
-
-    orders, (mat, res) = _per_modulus(bq, "h2-coordinates", coeff, build)
-    if not mat:
-        return ()
-    sol = solve(mat, list(vec), res)
-    if sol is None:
+    """Coordinates of a cocycle's class over the h2 generators, each
+    reduced mod the generator's order."""
+    cls = _h2_class(bq, coeff, vec)
+    if cls is None:
         raise ValueError("vector is not a cocycle combination")
-    return tuple(a % order if order else a for order, a in zip(orders, sol))
+    return tuple(a for f, a in cls if f != 1)
 
 
 def evaluate(coeff, phi, chain):

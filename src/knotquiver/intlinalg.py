@@ -1,4 +1,4 @@
-"""Exact integer matrix routines: Smith form, kernels, lattice quotients.
+"""Exact integer matrix routines: products and the Smith normal form.
 
 Matrices are lists of row lists of Python ints, so everything here is
 fraction free and exact at any size.
@@ -29,10 +29,6 @@ def mat_mul(a, b):
                 acc = [s + x * y for s, y in zip(acc, brow)]
         out.append(acc)
     return out
-
-
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def _replay_rows(ops, rows):
@@ -93,67 +89,97 @@ class SNFResult:
 
 def snf(mat):
     """Smith normal form: diag, the column transform v and its inverse,
-    and a log of the row operations (see SNFResult)."""
+    and a log of the row operations (see SNFResult).
+
+    The matrix is held as one {column: value} dict per row of its
+    nonzero entries, plus the set of rows with a nonzero in each column.
+    A row operation touches only the nonzero entries of the pivot row,
+    and a column operation only the rows with a nonzero in the pivot
+    column (and v, v_inv).  The operations and their order are those of
+    a dense elimination, so the output does not depend on the storage.
+    """
     m = len(mat)
     n = len(mat[0]) if m else 0
-    a = [row[:] for row in mat]
-    v = identity(n)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
+    cols = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    vt = identity(n)  # the columns of v, as rows
     v_inv = identity(n)
     row_ops = []
 
     def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
+        rows[i], rows[j] = rows[j], rows[i]
+        # a column with a nonzero in just one of the rows moves it over
+        for k in rows[i].keys() ^ rows[j].keys():
+            cols[k] ^= {i, j}
         row_ops.append(("swap", i, j, 0))
 
     def row_add(i, j, c):
         # row_i += c * row_j
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        ri = rows[i]
+        for k, y in rows[j].items():
+            x = ri.get(k)
+            if x is None:
+                ri[k] = c * y
+                cols[k].add(i)
+            elif x + c * y:
+                ri[k] = x + c * y
+            else:
+                del ri[k]
+                cols[k].remove(i)
         row_ops.append(("add", i, j, c))
 
     def row_neg(i):
-        a[i] = [-x for x in a[i]]
+        rows[i] = {k: -x for k, x in rows[i].items()}
         row_ops.append(("neg", i, 0, 0))
 
     def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+        for r in cols[i] | cols[j]:
+            row = rows[r]
+            x = row.pop(i, 0)
+            y = row.pop(j, 0)
+            if y:
+                row[i] = y
+            if x:
+                row[j] = x
+        cols[i], cols[j] = cols[j], cols[i]
+        vt[i], vt[j] = vt[j], vt[i]
         v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def col_add(i, j, c):
         # col_i += c * col_j
-        for r in a:
-            r[i] += c * r[j]
-        for r in v:
-            r[i] += c * r[j]
+        ci = cols[i]
+        for r in cols[j]:
+            row = rows[r]
+            x = row.get(i, 0) + c * row[j]
+            if x:
+                row[i] = x
+                ci.add(r)
+            else:
+                del row[i]
+                ci.remove(r)
+        vt[i] = [x + c * y for x, y in zip(vt[i], vt[j])]
         v_inv[j] = [x - c * y for x, y in zip(v_inv[j], v_inv[i])]
 
-    def col_neg(i):
-        for r in a:
-            r[i] = -r[i]
-        for r in v:
-            r[i] = -r[i]
-        v_inv[i] = [-x for x in v_inv[i]]
-
+    # rows and columns before t are done: their only nonzero entry is on
+    # the diagonal, so the rows from t on hold columns from t on only
     t = 0
     size = min(m, n)
     while t < size:
         # the first entry of least nonzero size in row-major order; no
-        # entry beats a unit, so the scan stops at the first one
+        # entry beats a unit, so the scan stops at the first row with one
         best = None
         pivot = None
         for i in range(t, m):
-            row = a[i]
-            for j in range(t, n):
-                w = abs(row[j])
-                if w and (best is None or w < best):
+            if rows[i]:
+                w, j = min((abs(x), j) for j, x in rows[i].items())
+                if best is None or w < best:
                     best = w
                     pivot = (i, j)
                     if w == 1:
                         break
-            if best == 1:
-                break
         if pivot is None:
             break
         if pivot[0] != t:
@@ -161,87 +187,40 @@ def snf(mat):
         if pivot[1] != t:
             col_swap(t, pivot[1])
         while True:
+            # an operation on (i, t) or (t, j) leaves the entries of the
+            # later rows in column t, and of row t in the later columns,
+            # as they were, so each sweep can list its targets up front
             swapped = True
             while swapped:
                 swapped = False
-                for i in range(t + 1, m):
-                    if a[i][t]:
-                        q = a[i][t] // a[t][t]
-                        if q:
-                            row_add(i, t, -q)
-                        if a[i][t]:
-                            row_swap(t, i)
-                            swapped = True
-                for j in range(t + 1, n):
-                    if a[t][j]:
-                        q = a[t][j] // a[t][t]
-                        if q:
-                            col_add(j, t, -q)
-                        if a[t][j]:
-                            col_swap(t, j)
-                            swapped = True
+                for i in sorted(r for r in cols[t] if r > t):
+                    q = rows[i][t] // rows[t][t]
+                    if q:
+                        row_add(i, t, -q)
+                    if t in rows[i]:
+                        row_swap(t, i)
+                        swapped = True
+                for j in sorted(k for k in rows[t] if k > t):
+                    q = rows[t][j] // rows[t][t]
+                    if q:
+                        col_add(j, t, -q)
+                    if j in rows[t]:
+                        col_swap(t, j)
+                        swapped = True
             # the first row whose remaining entries the pivot does not
             # divide; a unit pivot divides everything
-            d = a[t][t]
+            d = rows[t][t]
             bad = None
             if d not in (1, -1):
                 bad = next((i for i in range(t + 1, m)
-                            if any(x % d for x in a[i][t + 1:])), None)
+                            if any(x % d for x in rows[i].values())), None)
             if bad is None:
                 break
             row_add(t, bad, 1)
-        if a[t][t] < 0:
+        if rows[t][t] < 0:
             row_neg(t)
         t += 1
 
-    diag = [a[i][i] for i in range(size)]
-    return SNFResult(diag, v, v_inv, row_ops, m)
+    diag = [rows[i].get(i, 0) for i in range(size)]
+    return SNFResult(diag, transpose(vt), v_inv, row_ops, m)
 
-
-def solve(mat, rhs, res=None):
-    """One integer solution x of mat @ x = rhs, or None."""
-    if len(rhs) != len(mat):
-        raise ValueError("rhs length %d does not match %d rows" % (len(rhs), len(mat)))
-    if res is None:
-        res = snf(mat)
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    c = res.apply_u(rhs)
-    y = [0] * n
-    for j in range(m):
-        d = res.diag[j] if j < len(res.diag) else 0
-        if d:
-            if c[j] % d:
-                return None
-            y[j] = c[j] // d
-        elif c[j]:
-            return None
-    return mat_vec(res.v, y)
-
-
-def quotient_structure(basis_mat, gen_cols):
-    """Structure of lattice(basis_mat columns) / lattice(gen_cols).
-
-    basis_mat columns must be independent and every generator column
-    must lie in their span.  Returns (factors, generators): invariant
-    factors (0 marks a free summand) paired with ambient-coordinate
-    generator columns.
-    """
-    k = len(basis_mat[0]) if basis_mat else 0
-    res_b = snf(basis_mat)
-    coords = []
-    for g in gen_cols:
-        x = solve(basis_mat, g, res_b)
-        if x is None:
-            raise ValueError("generator outside the spanned lattice")
-        coords.append(x)
-    if not coords:
-        factors = [0] * k
-        gens = transpose(basis_mat)
-        return factors, gens
-    expr = transpose(coords)  # k x g
-    res = snf(expr)
-    factors = [res.diag[i] if i < len(res.diag) else 0 for i in range(k)]
-    new_basis = mat_mul(basis_mat, res.u_inv)
-    gens = transpose(new_basis)
-    return factors, gens

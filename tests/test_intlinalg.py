@@ -1,19 +1,179 @@
 import random
 
-from knotquiver.algebra import alexander_cyclic, core_cyclic
+import pytest
+
+from knotquiver.algebra import alexander_cyclic, builtin, core_cyclic
 from knotquiver.cohomology import boundary_matrices
-from knotquiver.intlinalg import (
-    identity,
-    mat_mul,
-    mat_vec,
-    quotient_structure,
-    snf,
-    solve,
-    transpose,
-)
+from knotquiver.intlinalg import SNFResult, identity, mat_mul, snf, transpose
 
 
-# reference helpers, also used by test_cohomology.py
+# reference helpers, also used by test_cohomology.py; solve and
+# quotient_structure are the H^2 construction the cohomology module used
+# before it read lattice coordinates off v^-1, and they run on
+# reference_snf, so they share no code with what they check
+
+
+def mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def reference_snf(mat):
+    """The dense Smith normal form that snf replaced: every row and
+    column operation walks whole rows and columns.  snf must apply the
+    same operations in the same order and return the same result."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    a = [row[:] for row in mat]
+    v = identity(n)
+    v_inv = identity(n)
+    row_ops = []
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        row_ops.append(("swap", i, j, 0))
+
+    def row_add(i, j, c):
+        # row_i += c * row_j
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        row_ops.append(("add", i, j, c))
+
+    def row_neg(i):
+        a[i] = [-x for x in a[i]]
+        row_ops.append(("neg", i, 0, 0))
+
+    def col_swap(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+
+    def col_add(i, j, c):
+        # col_i += c * col_j
+        for r in a:
+            r[i] += c * r[j]
+        for r in v:
+            r[i] += c * r[j]
+        v_inv[j] = [x - c * y for x, y in zip(v_inv[j], v_inv[i])]
+
+    def col_neg(i):
+        for r in a:
+            r[i] = -r[i]
+        for r in v:
+            r[i] = -r[i]
+        v_inv[i] = [-x for x in v_inv[i]]
+
+    t = 0
+    size = min(m, n)
+    while t < size:
+        # the first entry of least nonzero size in row-major order; no
+        # entry beats a unit, so the scan stops at the first one
+        best = None
+        pivot = None
+        for i in range(t, m):
+            row = a[i]
+            for j in range(t, n):
+                w = abs(row[j])
+                if w and (best is None or w < best):
+                    best = w
+                    pivot = (i, j)
+                    if w == 1:
+                        break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        if pivot[0] != t:
+            row_swap(t, pivot[0])
+        if pivot[1] != t:
+            col_swap(t, pivot[1])
+        while True:
+            swapped = True
+            while swapped:
+                swapped = False
+                for i in range(t + 1, m):
+                    if a[i][t]:
+                        q = a[i][t] // a[t][t]
+                        if q:
+                            row_add(i, t, -q)
+                        if a[i][t]:
+                            row_swap(t, i)
+                            swapped = True
+                for j in range(t + 1, n):
+                    if a[t][j]:
+                        q = a[t][j] // a[t][t]
+                        if q:
+                            col_add(j, t, -q)
+                        if a[t][j]:
+                            col_swap(t, j)
+                            swapped = True
+            # the first row whose remaining entries the pivot does not
+            # divide; a unit pivot divides everything
+            d = a[t][t]
+            bad = None
+            if d not in (1, -1):
+                bad = next((i for i in range(t + 1, m)
+                            if any(x % d for x in a[i][t + 1:])), None)
+            if bad is None:
+                break
+            row_add(t, bad, 1)
+        if a[t][t] < 0:
+            row_neg(t)
+        t += 1
+
+    diag = [a[i][i] for i in range(size)]
+    return SNFResult(diag, v, v_inv, row_ops, m)
+
+
+def solve(mat, rhs, res=None):
+    """One integer solution x of mat @ x = rhs, or None."""
+    if len(rhs) != len(mat):
+        raise ValueError("rhs length %d does not match %d rows" % (len(rhs), len(mat)))
+    if res is None:
+        res = reference_snf(mat)
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    c = res.apply_u(rhs)
+    y = [0] * n
+    for j in range(m):
+        d = res.diag[j] if j < len(res.diag) else 0
+        if d:
+            if c[j] % d:
+                return None
+            y[j] = c[j] // d
+        elif c[j]:
+            return None
+    return mat_vec(res.v, y)
+
+
+def quotient_structure(basis_mat, gen_cols):
+    """Structure of lattice(basis_mat columns) / lattice(gen_cols).
+
+    basis_mat columns must be independent and every generator column
+    must lie in their span.  Returns (factors, generators): invariant
+    factors (0 marks a free summand) paired with ambient-coordinate
+    generator columns.
+    """
+    k = len(basis_mat[0]) if basis_mat else 0
+    res_b = reference_snf(basis_mat)
+    coords = []
+    for g in gen_cols:
+        x = solve(basis_mat, g, res_b)
+        if x is None:
+            raise ValueError("generator outside the spanned lattice")
+        coords.append(x)
+    if not coords:
+        factors = [0] * k
+        gens = transpose(basis_mat)
+        return factors, gens
+    expr = transpose(coords)  # k x g
+    res = reference_snf(expr)
+    factors = [res.diag[i] if i < len(res.diag) else 0 for i in range(k)]
+    new_basis = mat_mul(basis_mat, res.u_inv)
+    gens = transpose(new_basis)
+    return factors, gens
+
+
 
 
 def kernel_basis(mat, ncols=None):
@@ -87,6 +247,34 @@ def test_snf_factorization_random():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         assert_smith_factorization(random_matrix(rng, m, n))
+
+
+def assert_same_smith_form(mat):
+    res, ref = snf(mat), reference_snf(mat)
+    assert res.diag == ref.diag
+    assert res.v == ref.v
+    assert res.v_inv == ref.v_inv
+    assert res.row_ops == ref.row_ops
+
+
+def test_snf_matches_dense_reference_random():
+    # entries in {0, +-1, 2}, half of them zero, at most 12 x 8: dense
+    # matrices with larger entries set off the entry growth of both
+    rng = random.Random(23)
+    for _ in range(400):
+        m = rng.randint(1, 12)
+        n = rng.randint(1, 8)
+        assert_same_smith_form(
+            [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(m)])
+
+
+@pytest.mark.parametrize("name", [
+    "swap3", "flip2", "trivial-3", "core-3", "core-4", "core-5", "core-6",
+    "core-7", "core-8", "core-9", "alexander-5-2", "alexander-7-3", "alexander-7-5",
+])
+def test_snf_matches_dense_reference_on_coboundary_matrices(name):
+    _, d3 = boundary_matrices(builtin(name))
+    assert_same_smith_form(transpose(d3))
 
 
 def solve_through_u(res, rhs):
@@ -194,8 +382,6 @@ def test_quotient_structure_basis_change_invariance():
 
 
 def test_quotient_structure_rejects_outside_vector():
-    import pytest
-
     with pytest.raises(ValueError):
         quotient_structure([[2, 0], [0, 2]], [[1, 0]])
 
