@@ -71,17 +71,24 @@ def triple_basis(bq):
 
 
 def boundary_matrices(bq):
-    """(d2, d3) as integer matrices; checks that d2 @ d3 vanishes."""
+    """(d2, d3) as integer matrices; checks that d2 @ d3 vanishes.
+
+    The check sums, for each triple, the d2 columns of the pairs in its
+    d3 column: at most six columns of at most four entries each.
+    """
     pairs = pair_basis(bq)
     triples = triple_basis(bq)
     pair_index = {p: i for i, p in enumerate(pairs)}
     n = bq.n
     d2 = [[0] * len(pairs) for _ in range(n)]
+    d2_cols = []  # d2_cols[j]: (row, coefficient) of the entries of column j
     for j, (x, y) in enumerate(pairs):
-        d2[x - 1][j] += 1
-        d2[y - 1][j] += 1
-        d2[bq.under(x, y) - 1][j] -= 1
-        d2[bq.over(y, x) - 1][j] -= 1
+        col = (
+            (x - 1, 1), (y - 1, 1), (bq.under(x, y) - 1, -1), (bq.over(y, x) - 1, -1)
+        )
+        for i, c in col:
+            d2[i][j] += c
+        d2_cols.append(col)
     d3 = [[0] * len(triples) for _ in range(len(pairs))]
     for j, (x, y, z) in enumerate(triples):
         terms = (
@@ -92,12 +99,15 @@ def boundary_matrices(bq):
             (-1, (x, y)),
             (1, (bq.under(x, z), bq.under(y, z))),
         )
+        image = [0] * n
         for c, pair in terms:
             if pair[0] != pair[1]:
-                d3[pair_index[pair]][j] += c
-    prod = mat_mul(d2, d3)
-    if any(x for row in prod for x in row):
-        raise ValueError("boundary maps do not compose to zero for %r" % bq)
+                p = pair_index[pair]
+                d3[p][j] += c
+                for i, e in d2_cols[p]:
+                    image[i] += c * e
+        if any(image):
+            raise ValueError("boundary maps do not compose to zero for %r" % bq)
     return d2, d3
 
 

@@ -182,32 +182,41 @@ def _render_order(key):
 def char_poly(mat):
     """det(t*I - mat) for a square integer matrix, exactly.
 
-    Uses trace recursion with exact integer division; non-integer
-    intermediate divisions would signal a non-integer matrix and raise.
+    Uses the trace recursion M_1 = A, M_k = A (M_{k-1} + c_{k-1} I),
+    c_k = -tr(M_k) / k, with exact integer division; a nonzero remainder
+    would signal a non-integer matrix and fail an assertion.  A step
+    reads only the nonzero entries of each row of A, so it costs
+    nnz(A) * n multiplications instead of n^3.  Once M_k and c_k are
+    both zero every later step is too, so the recursion stops there:
+    after two steps for a matrix of rank one.
     """
     n = len(mat)
     for row in mat:
         if len(row) != n:
             raise ValueError("matrix must be square")
-    coeffs = [1]  # c_0 = 1 for lambda^n
-    work = [list(row) for row in mat]
+    rows = [[(l, a) for l, a in enumerate(row) if a] for row in mat]
+    terms = {(("t", n),) if n else (): 1}
+    work = mat
+    c = 1
     for k in range(1, n + 1):
         if k > 1:
-            shifted = [row[:] for row in work]
-            for i in range(n):
-                shifted[i][i] += coeffs[-1]
-            work = [
-                [sum(mat[i][l] * shifted[l][j] for l in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-        tr = sum(work[i][i] for i in range(n))
-        q, r = divmod(-tr, k)
+            # row i of A (M + cI) is the sum of a * (row l of M) over the
+            # nonzero entries a = A[i][l], plus c times row i of A
+            nxt = []
+            for row in rows:
+                acc = [0] * n
+                for l, a in row:
+                    acc = [x + a * y for x, y in zip(acc, work[l])]
+                    acc[l] += a * c
+                nxt.append(acc)
+            work = nxt
+        c, r = divmod(-sum(work[i][i] for i in range(n)), k)
         assert r == 0, "trace recursion left a nonzero remainder"
-        coeffs.append(q)
-    out = GroupExponentPolynomial.zero()
-    for k, c in enumerate(coeffs):
-        out = out + GroupExponentPolynomial.monomial(c, {"t": n - k})
-    return out
+        if c:
+            terms[(("t", n - k),) if k < n else ()] = c
+        elif not any(map(any, work)):
+            break
+    return GroupExponentPolynomial(terms)
 
 
 def matrix_poly(mat, row_labels, col_labels, modulus, row_var="x", col_var="y"):
@@ -467,18 +476,35 @@ def path_polynomials(quiver):
 
     The sum runs over maximal class paths (see maximal_paths): all the
     labeled paths of a class path have the same product and length, so
-    its terms count once per labeled path, times its weight.  The class
-    paths come sorted, so consecutive paths share a prefix and its
-    product is reused; equal (product, length) pairs share their terms.
+    its terms count once per labeled path, times its weight.  Each
+    distinct matrix gets an id, once per call, and the product of a
+    class matrix with a prefix product is formed once per pair of ids;
+    the sorted class paths share prefixes, whose product ids stay on a
+    stack.  Weights are tallied per (product, length), then char_poly
+    runs once per distinct product, its terms shifted by s^length.  The
+    entry polynomial is linear in the matrix, so the matrix polynomial
+    takes one entry polynomial of the weighted sum of the products of
+    each length.
     """
     m = quiver.modulus
     labels = quiver.labels
     members, found = _class_paths(quiver)
-    mats = [tuple(map(tuple, quiver.edges[es[0]][2])) for es in members]
-    chi, pm = {}, {}
-    terms = {}
+    ids = {}
+    mats = []  # mats[i]: the matrix with id i, as a tuple of rows
+
+    def intern(mat):
+        key = tuple(map(tuple, mat))
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(mats)
+            mats.append(key)
+        return i
+
+    cls = [intern(quiver.edges[es[0]][2]) for es in members]
+    products = {}  # (class matrix id, prefix product id) -> product id
+    tally = {}  # (product id, length) -> labeled paths
     prev = ()
-    prefix = []  # prefix[i]: the product of the first i + 1 classes of prev
+    prefix = []  # prefix[i]: the product id of the first i + 1 classes of prev
     for path, weight in found:
         shared = 0
         for a, b in zip(prev, path):
@@ -487,23 +513,41 @@ def path_polynomials(quiver):
             shared += 1
         del prefix[shared:]
         for c in path[shared:]:
-            prefix.append(tuple(map(tuple, mat_mul(mats[c], prefix[-1]))) if prefix else mats[c])
+            p = cls[c]
+            if prefix:
+                pair = (p, prefix[-1])
+                p = products.get(pair)
+                if p is None:
+                    p = products[pair] = intern(mat_mul(mats[pair[0]], mats[pair[1]]))
+            prefix.append(p)
         prev = path
         key = (prefix[-1], len(path))
-        pair = terms.get(key)
-        if pair is None:
-            mat = prefix[-1]
-            pair = terms[key] = (
-                char_poly(mat) * GroupExponentPolynomial.monomial(1, {"s": len(path)}),
-                matrix_poly(mat, labels, labels, m, row_var="y", col_var="x")
-                * GroupExponentPolynomial.monomial(1, {"z": len(path)}, m),
-            )
-        for out, poly in zip((chi, pm), pair):
-            for k, c in poly.terms.items():
-                out[k] = out.get(k, 0) + c * weight
+        tally[key] = tally.get(key, 0) + weight
+    chi = {}
+    sums = {}  # length -> weighted sum of the products of that length
+    chars = {}
+    for (p, length), weight in tally.items():
+        terms = chars.get(p)
+        if terms is None:
+            terms = chars[p] = char_poly(mats[p]).terms
+        s = ("s", length)
+        for k, c in terms.items():
+            key = (s,) + k
+            chi[key] = chi.get(key, 0) + c * weight
+        mat = mats[p]
+        acc = sums.get(length)
+        sums[length] = (
+            [[weight * x for x in row] for row in mat] if acc is None else
+            [[x + weight * y for x, y in zip(r1, r2)] for r1, r2 in zip(acc, mat)]
+        )
+    pm = {}
+    for length, mat in sums.items():
+        z = ("z", length)
+        for k, c in matrix_poly(mat, labels, labels, m, row_var="y", col_var="x").terms.items():
+            pm[k + (z,)] = c
     return (
         GroupExponentPolynomial({k: c for k, c in chi.items() if c}),
-        GroupExponentPolynomial({k: c for k, c in pm.items() if c}, m),
+        GroupExponentPolynomial(pm, m),
     )
 
 

@@ -4,8 +4,10 @@ import pytest
 
 from knotquiver import cohomology
 from knotquiver.algebra import (
+    Biquandle,
     alexander_cyclic,
     builtin,
+    check_axioms,
     constant_action_biquandle_z2,
     core_cyclic,
     swap3,
@@ -92,6 +94,17 @@ def test_boundaries_compose_to_zero_everywhere():
         trivial_quandle(3),
     ):
         boundary_matrices(bq)  # raises if d2 @ d3 != 0
+
+
+def test_boundary_matrices_reject_a_table_that_breaks_the_axioms():
+    # idempotent and every column a permutation, but the exchange law
+    # fails, so d2 @ d3 is not zero
+    under = [[1, 1, 2], [3, 2, 1], [2, 3, 3]]
+    over = [[1, 1, 1], [2, 2, 2], [3, 3, 3]]
+    assert check_axioms(under, over)
+    bq = Biquandle(under, over, check=False)
+    with pytest.raises(ValueError, match="^boundary maps do not compose to zero"):
+        boundary_matrices(bq)
 
 
 def test_quandle_d2_reduces_to_single_difference():

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from operator import mul
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,6 +23,8 @@ from knotquiver.polynomials import (
     specialize,
 )
 from knotquiver.quiver import DataVector, build_representation
+
+POOL_FILE = Path(__file__).resolve().parent.parent / "benchmark" / "paths_pool.json"
 
 
 def mono(c, modulus=0, **exps):
@@ -69,6 +72,46 @@ def test_arithmetic_and_mass():
     assert (a * b).mass() == 0
 
 
+def reference_char_poly(mat):
+    """det(t*I - mat) for a square integer matrix, exactly.
+
+    Uses trace recursion with exact integer division; non-integer
+    intermediate divisions would signal a non-integer matrix and raise.
+    """
+    n = len(mat)
+    for row in mat:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+    coeffs = [1]  # c_0 = 1 for lambda^n
+    work = [list(row) for row in mat]
+    for k in range(1, n + 1):
+        if k > 1:
+            shifted = [row[:] for row in work]
+            for i in range(n):
+                shifted[i][i] += coeffs[-1]
+            work = [
+                [sum(mat[i][l] * shifted[l][j] for l in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+        tr = sum(work[i][i] for i in range(n))
+        q, r = divmod(-tr, k)
+        assert r == 0, "trace recursion left a nonzero remainder"
+        coeffs.append(q)
+    out = P.zero()
+    for k, c in enumerate(coeffs):
+        out = out + P.monomial(c, {"t": n - k})
+    return out
+
+
+def sparse_matrix(rng, n):
+    # the shape of the arrow matrices: 0 to 3 nonzero entries, and up to
+    # 2^14 in size, the size of the entries of path products
+    mat = [[0] * n for _ in range(n)]
+    for _ in range(rng.randint(0, 3)):
+        mat[rng.randrange(n)][rng.randrange(n)] = rng.choice((-1, 1)) * rng.randint(1, 2 ** 14)
+    return mat
+
+
 def test_char_poly_against_cofactor_expansion():
     def det(mat):
         n = len(mat)
@@ -78,15 +121,21 @@ def test_char_poly_against_cofactor_expansion():
             return mat[0][0]
         out = P.zero()
         for j in range(n):
+            if not mat[0][j]:
+                continue
             minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
             term = mat[0][j] * det(minor)
             out = out + (term if j % 2 == 0 else -term)
         return out
 
     rng = random.Random(5)
-    for _ in range(100):
-        n = rng.randint(1, 4)
-        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        if trial % 2:
+            a = sparse_matrix(rng, n)
+        else:
+            bound = rng.choice((4, 2 ** 14))
+            a = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
         sym = [
             [
                 (mono(1, t=1) if i == j else P.zero()) - P.constant(a[i][j])
@@ -94,7 +143,15 @@ def test_char_poly_against_cofactor_expansion():
             ]
             for i in range(n)
         ]
-        assert char_poly(a) == det(sym)
+        expected = det(sym)
+        assert char_poly(a) == expected
+        assert reference_char_poly(a) == expected
+
+
+@pytest.mark.parametrize("mat", [[[1, 2]], [[1], [2]], [[1, 2], [3]], [[]]])
+def test_char_poly_rejects_a_non_square_matrix(mat):
+    with pytest.raises(ValueError, match="matrix must be square"):
+        char_poly(mat)
 
 
 def test_char_poly_known():
@@ -210,19 +267,23 @@ def reference_maximal_paths(quiver):
     )
 
 
-def reference_path_polynomials(quiver):
-    """Both path polynomials, each product matrix built from scratch."""
+def reference_path_polynomials(quiver, paths=None):
+    """Both path polynomials, each product matrix built from scratch, as
+    plain sums over labeled paths: those given, else the maximal paths
+    of the reference."""
     m = quiver.modulus
     labels = quiver.labels
     chi, pm = P.zero(), P.zero(m)
-    for path in reference_maximal_paths(quiver):
+    for path in reference_maximal_paths(quiver) if paths is None else paths:
         mat = None
         for e in path:
             step = quiver.edges[e][2]
-            mat = step if mat is None else [
-                [sum(a * b for a, b in zip(row, col)) for col in zip(*mat)] for row in step
-            ]
-        chi = chi + char_poly(mat) * mono(1, s=len(path))
+            if mat is None:
+                mat = step
+            else:
+                cols = list(zip(*mat))
+                mat = [[sum(map(mul, row, col)) for col in cols] for row in step]
+        chi = chi + reference_char_poly(mat) * mono(1, s=len(path))
         pm = pm + matrix_poly(mat, labels, labels, m, row_var="y", col_var="x") * mono(
             1, m, z=len(path))
     return chi, pm
@@ -276,6 +337,19 @@ def test_maximal_paths_match_reference_on_core4_quivers(link, endos, paths):
     q = core4_quiver(link, endos)
     assert len(maximal_paths(q)) == paths
     assert_matches_reference(q)
+
+
+def test_path_polynomials_match_labeled_sum_on_pool_quivers():
+    # every 32nd quiver of the benchmark's pool: many parallel arrows and
+    # classes with equal matrices, so class-step products repeat
+    pool = json.loads(POOL_FILE.read_text())
+    endos = [tuple(e) for e in pool["endos"]]
+    for link, a, b, *_ in pool["entries"][::32]:
+        q = core4_quiver(link, (endos[a], endos[b]))
+        chi, pm = path_polynomials(q)
+        ref_chi, ref_pm = reference_path_polynomials(q, maximal_paths(q))
+        assert chi.terms == ref_chi.terms
+        assert pm.terms == ref_pm.terms
 
 
 def reference_trail_count(quiver):
@@ -389,16 +463,13 @@ def test_maximal_paths_dead_end_test_scans_only_the_trail():
 
 # --------------------------------------------------- edge polynomials
 
-POOL_FILE = Path(__file__).resolve().parent.parent / "benchmark" / "paths_pool.json"
-
-
 def reference_edge_polynomials(quiver):
     """Both edge polynomials as plain sums of one term per edge."""
     m = quiver.modulus
     labels = quiver.labels
     chi, pm = P.zero(), P.zero(m)
     for _, _, mat in quiver.edges:
-        chi = chi + char_poly(mat)
+        chi = chi + reference_char_poly(mat)
         pm = pm + matrix_poly(mat, labels, labels, m, row_var="x", col_var="y")
     return chi, pm
 
