@@ -22,7 +22,7 @@ def check_axioms(under, over):
                 problems.append("%s table row %d has length %d" % (name, i + 1, len(row)))
                 return problems
             for v in row:
-                if not (isinstance(v, int) and 1 <= v <= n):
+                if not (type(v) is int and 1 <= v <= n):
                     problems.append("%s table entry %r out of range 1..%d" % (name, v, n))
                     return problems
 
@@ -158,6 +158,8 @@ def alexander_cyclic(m, t):
     """Alexander quandle on Z_m: x . y = t*x + (1-t)*y, gcd(t, m) = 1."""
     import math
 
+    if m < 1:
+        raise ValueError("m must be positive")
     if math.gcd(t % m, m) != 1:
         raise ValueError("t must be a unit mod m")
     under = [

@@ -15,10 +15,12 @@ trivial-N) or paths to JSON files {"n": n, "under": rows, "over": rows}
 with 1-based entries; a file without "over" is read as a quandle.
 
 Exit status: 0 success, 1 validation failure, 2 the maximal-path search
-ran past its step budget (polynomials.STEP_BUDGET).
+ran past its step budget (polynomials.STEP_BUDGET) or the command line
+itself is malformed (argparse usage errors, such as no verb).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -38,21 +40,31 @@ from .quiver import DataVector, build_representation
 
 
 def read_table(path):
-    """(n, under, over) of a JSON table file; without "over" it is a quandle."""
+    """(under, over) of a JSON table file; without "over" it is a quandle.
+
+    The shape is checked here, for every verb: a ValueError names the
+    field that is not as the format says.  The entries' range and the
+    axioms are left to check_axioms."""
     with open(path) as fh:
         blob = json.load(fh)
-    n = blob["n"]
-    over = blob.get("over")
+    if not isinstance(blob, dict):
+        raise ValueError("table file: top level is not a JSON object")
+    n = blob.get("n")
+    if type(n) is not int or n < 1:
+        raise ValueError('table field "n" is not a positive integer: %s' % json.dumps(n))
+    under, over = blob.get("under"), blob.get("over")
     if over is None:
         over = [[x] * n for x in range(1, n + 1)]
-    return n, blob["under"], over
+    for field, table in (("under", under), ("over", over)):
+        if not (_int_lists(table) and len(table) == n
+                and all(len(row) == n for row in table)):
+            raise ValueError('table field "%s" is not %d lists of %d integers' % (field, n, n))
+    return under, over
 
 
 def load_algebra(spec):
     if os.path.exists(spec):
-        n, under, over = read_table(spec)
-        if len(under) != n or len(over) != n:
-            raise ValueError("table size does not match n=%d" % n)
+        under, over = read_table(spec)
         return Biquandle(under, over, name=os.path.basename(spec))
     try:
         return builtin(spec)
@@ -141,7 +153,7 @@ def cmd_check(args):
     if os.path.exists(args.quandle):
         # every violation is listed, so the table is checked before a
         # Biquandle (which stops at the first) is built from it
-        _, under, over = read_table(args.quandle)
+        under, over = read_table(args.quandle)
         problems = check_axioms(under, over)
         bq = None if problems else Biquandle(under, over, check=False)
     else:
@@ -276,7 +288,10 @@ def cmd_batch(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by later
+    calls in the process: parse_args keeps no state between runs."""
     top = argparse.ArgumentParser(prog="knotquiver", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)
 
@@ -332,6 +347,7 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command line; returns the exit status."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

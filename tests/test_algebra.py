@@ -80,6 +80,13 @@ def test_entry_range_checked():
     assert any("out of range" in m for m in msgs)
 
 
+@pytest.mark.parametrize("entry", [True, 1.0])
+def test_non_integer_entry_rejected(entry):
+    # both equal 1, but neither is an integer entry
+    msgs = check_axioms([[1, 2], [2, entry]], [[1, 1], [2, 2]])
+    assert msgs == ["under table entry %r out of range 1..2" % entry]
+
+
 def test_inverses_and_through_map():
     for bq in (core_cyclic(5), swap3(), constant_action_biquandle_z2()):
         for x in bq.elements:

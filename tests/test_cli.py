@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import random
@@ -12,6 +13,7 @@ from knotquiver.algebra import core_cyclic, swap3
 from knotquiver.catalog import catalog_names, get_diagram
 from knotquiver.cli import main
 from knotquiver.cohomology import CoeffGroup, cocycle_invariant
+from knotquiver.diagram import gauss_string, pd_string
 from knotquiver.homset import counting_invariant
 from knotquiver.quiver import RepQuiver
 from knotquiver.polynomials import (
@@ -322,3 +324,204 @@ def test_one_coloring_enumeration_per_call(capsys, monkeypatch):
     assert code == 0
     assert len(out.strip().splitlines()) == 3
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------- table files
+
+
+def write_table(tmp_path, blob):
+    path = tmp_path / "table.json"
+    path.write_text(blob if isinstance(blob, str) else json.dumps(blob))
+    return str(path)
+
+
+SWAP3_UNDER = [[1, 1, 2], [2, 2, 1], [3, 3, 3]]
+
+
+@pytest.mark.parametrize("blob, message", [
+    ([1, 2], "error: table file: top level is not a JSON object\n"),
+    ("3", "error: table file: top level is not a JSON object\n"),
+    ({"n": "x", "under": [[0]]}, 'error: table field "n" is not a positive integer: "x"\n'),
+    ({"n": True, "under": [[1]]}, 'error: table field "n" is not a positive integer: true\n'),
+    ({"n": 1.0, "under": [[1]]}, 'error: table field "n" is not a positive integer: 1.0\n'),
+    ({"n": 0, "under": []}, 'error: table field "n" is not a positive integer: 0\n'),
+    ({"under": [[1]]}, 'error: table field "n" is not a positive integer: null\n'),
+    ({"n": 3}, 'error: table field "under" is not 3 lists of 3 integers\n'),
+    ({"n": 3, "under": SWAP3_UNDER[:2]},
+     'error: table field "under" is not 3 lists of 3 integers\n'),
+    ({"n": 3, "under": [[1, 1, 2], [2, 2, 1], 3]},
+     'error: table field "under" is not 3 lists of 3 integers\n'),
+    ({"n": 3, "under": [[1, 1, 2], [2, 2, 1], [3, 3, True]]},
+     'error: table field "under" is not 3 lists of 3 integers\n'),
+    ({"n": 3, "under": SWAP3_UNDER, "over": [[1, 1, 1], [2, 2, 2], [3, 3]]},
+     'error: table field "over" is not 3 lists of 3 integers\n'),
+    ({"n": 3, "under": SWAP3_UNDER, "over": "x"},
+     'error: table field "over" is not 3 lists of 3 integers\n'),
+])
+@pytest.mark.parametrize("verb", [("check",), ("homset", "--link", "3_1")])
+def test_malformed_table_files_are_validation_failures(tmp_path, capsys, blob, message, verb):
+    code, out, err = run(capsys, *verb, "--quandle", write_table(tmp_path, blob))
+    assert (code, out, err) == (1, "", message)
+
+
+def test_well_shaped_table_keeps_axiom_messages(tmp_path, capsys):
+    # shaped right, wrong in range and in the axioms: check lists them
+    path = write_table(tmp_path, {"n": 2, "under": [[1, 1], [2, 3]]})
+    code, out, err = run(capsys, "check", "--quandle", path)
+    assert (code, out, err) == (1, "axiom: under table entry 3 out of range 1..2\n", "")
+    path = write_table(tmp_path, {"n": 3, "under": SWAP3_UNDER})
+    code, out, _ = run(capsys, "homset", "--link", "3_1", "--quandle", path)
+    assert (code, out) == (0, "colorings: 3\n")
+
+
+# ---------------------------------------------------------------- fuzz
+
+PD_CHARS = "0123456789pm-"
+GAUSS_CHARS = "0123456789+-OU;"
+
+
+def mutate(rng, text, chars):
+    """text, a code of whitespace-separated tokens, after one to four random
+    edits: a token dropped, doubled or swapped, or one character changed."""
+    tokens = text.split()
+    for _ in range(rng.randint(1, 4)):
+        i, j = rng.randrange(len(tokens)), rng.randrange(len(tokens))
+        op = rng.randrange(4)
+        if op == 0 and len(tokens) > 1:
+            del tokens[i]
+        elif op == 1:
+            tokens.insert(j, tokens[i])
+        elif op == 2:
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            k = rng.randrange(len(tokens[i]))
+            tokens[i] = tokens[i][:k] + rng.choice(chars) + tokens[i][k + 1:]
+    return " ".join(tokens)
+
+
+def random_entry(rng, n):
+    return rng.choice([rng.randint(-1, n + 1), True, 1.0, "1", None, [1]])
+
+
+def random_rows(rng, n):
+    if rng.random() < 0.1:
+        return rng.choice([None, 3, "rows", {}, [1, 2]])
+    rows = rng.randint(n - 1, n + 1) if rng.random() < 0.2 else n
+    return [
+        [random_entry(rng, n) if rng.random() < 0.15 else rng.randint(1, n)
+         for _ in range(n if rng.random() < 0.9 else n + 1)]
+        if rng.random() < 0.95 else rng.choice([None, 1, "row"])
+        for _ in range(rows)
+    ]
+
+
+def random_table(rng):
+    if rng.random() < 0.1:
+        return rng.choice([[], "table", 3, None, [[1]], True])
+    n = rng.randint(1, 3)
+    blob = {"n": n if rng.random() < 0.8 else rng.choice([0, -1, "2", True, 2.0, None, [2]])}
+    if rng.random() < 0.9:
+        blob["under"] = random_rows(rng, n)
+    if rng.random() < 0.5:
+        blob["over"] = random_rows(rng, n) if rng.random() < 0.8 else None
+    return blob
+
+
+def fuzz_argvs(rng, tmp_path):
+    names = catalog_names()
+    report = ("--quandle", "core-3", "--group", "3", "--cocycles", "h2-generators",
+              "--endos", "identity")
+    for _ in range(400):
+        d = get_diagram(rng.choice(names))
+        for fmt, text in (("pd", mutate(rng, pd_string(d), PD_CHARS)),
+                          ("gauss", mutate(rng, gauss_string(d), GAUSS_CHARS))):
+            verb = ("invariants", *report) if rng.random() < 0.2 else (
+                "homset", "--quandle", "swap3")
+            yield [verb[0], "--link=" + text, "--format", fmt, *verb[1:]]
+    for i in range(200):
+        path = tmp_path / ("t%d.json" % i)
+        path.write_text(json.dumps(random_table(rng)))
+        yield ["check", "--quandle", str(path)]
+        yield ["homset", "--link", "3_1", "--quandle", str(path)]
+    for _ in range(100):
+        group = rng.choice(["", "0", "1", "-3", "Z0", "Z_1", "2.5", "²", "z", " z_7 ",
+                            "".join(rng.choice("Zz_-/0123456789 .x") for _ in range(3))])
+        yield ["cocycle-invariant", "--link", "3_1", "--quandle", "swap3",
+               "--group=" + group, "--cocycles", "[[0,1,0,1,0,0]]"]
+    algebras = ["alexander-0-1", "alexander-4-2", "core-0", "trivial-0", "core--2", "swap4"]
+    for _ in range(100):
+        algebras.append("-".join(
+            [rng.choice(["core", "trivial", "alexander", "swap", "flip", ""])]
+            + [rng.choice(["", "0", "1", "3", "5", "x", "2.0", "٣", " 4"])
+               for _ in range(rng.randint(0, 3))]))
+    for name in algebras:
+        yield ["homset", "--link", "3_1", "--quandle=" + name]
+
+
+def test_cli_fuzz_exits_cleanly(tmp_path, capsys):
+    # random codes, table files, groups and algebra names: every command
+    # line ends in status 0, 1 or 2, and no exception escapes main
+    codes, escaped = [], []
+    for argv in fuzz_argvs(random.Random(20241), tmp_path):
+        try:
+            codes.append(main(argv))
+        except (Exception, SystemExit) as exc:
+            escaped.append((argv, repr(exc)))
+    capsys.readouterr()
+    assert escaped == []
+    assert {0, 1} <= set(codes) <= {0, 1, 2}
+
+
+# ---------------------------------------------------------------- shared parser
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    from knotquiver import cli
+
+    built = []
+    original = cli.build_parser.__wrapped__
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", functools.cache(counting))
+    # argparse wraps its usage text to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    out_file = str(tmp_path / "report.txt")
+    swap3_args = ("--quandle", "swap3", "--group", "3", "--cocycles", SWAP3_VECTORS)
+    core3_args = ("--quandle", "core-3", "--group", "3", "--cocycles", "h2-generators")
+    sequence = [
+        ["homset", "--link", "L4a1", "--quandle", "swap3", "--json"],
+        ["homset", "--link", "L4a1", "--quandle", "swap3"],
+        ["check", "--quandle", "swap3", "--group", "3", "--cocycles", SWAP3_VECTORS,
+         "--out", out_file],
+        ["check", "--quandle", "swap3", "--group", "3", "--cocycles", SWAP3_VECTORS],
+        [],
+        ["invariants", "--link", "L2a1", *core3_args, "--endos", "identity"],
+        ["invariants", "--link", "L2a1", *core3_args],
+        ["batch", "--links", "L2a1,L4a1", *swap3_args, "--endos", "[[2,2,1]]",
+         "--group-by", "pm_edge"],
+        ["batch", "--links", "L2a1,L4a1", *swap3_args, "--endos", "[[2,2,1]]"],
+        ["quiver", "--link", "2.1", *swap3_args, "--endos", "identity"],
+        ["homset", "--link", "L4a1"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        written = Path(out_file).read_text() if "--out" in argv else None
+        if written is not None:
+            os.remove(out_file)
+        proc = subprocess.run(
+            [sys.executable, "-m", "knotquiver", *argv], env=env,
+            capture_output=True, text=True, timeout=30,
+        )
+        assert (code, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr)
+        if written is not None:
+            assert written == Path(out_file).read_text()
+            os.remove(out_file)
+    assert len(built) == 1
