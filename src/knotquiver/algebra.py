@@ -26,35 +26,40 @@ def check_axioms(under, over):
                     problems.append("%s table entry %r out of range 1..%d" % (name, v, n))
                     return problems
 
-    def u(x, y):
-        return under[x - 1][y - 1]
-
-    def o(x, y):
-        return over[x - 1][y - 1]
-
-    for x in range(1, n + 1):
-        if u(x, x) != o(x, x):
+    # 0-based copies of the tables, and their transposes (column y of
+    # under as one row: UT[y][x] = under(x, y)); messages add 1 back
+    U = [[v - 1 for v in row] for row in under]
+    O = [[v - 1 for v in row] for row in over]
+    UT = [list(col) for col in zip(*U)]
+    OT = [list(col) for col in zip(*O)]
+    for x in range(n):
+        if U[x][x] != O[x][x]:
             problems.append(
                 "diagonal mismatch at x=%d: under(x,x)=%d, over(x,x)=%d"
-                % (x, u(x, x), o(x, x))
+                % (x + 1, U[x][x] + 1, O[x][x] + 1)
             )
-    for y in range(1, n + 1):
-        if len({u(x, y) for x in range(1, n + 1)}) != n:
-            problems.append("under(-, %d) is not a bijection" % y)
-        if len({o(x, y) for x in range(1, n + 1)}) != n:
-            problems.append("over(-, %d) is not a bijection" % y)
-    pair_map = {(u(a, b), o(b, a)) for a in range(1, n + 1) for b in range(1, n + 1)}
+    for y in range(n):
+        if len(set(UT[y])) != n:
+            problems.append("under(-, %d) is not a bijection" % (y + 1))
+        if len(set(OT[y])) != n:
+            problems.append("over(-, %d) is not a bijection" % (y + 1))
+    pair_map = {(U[a][b], O[b][a]) for a in range(n) for b in range(n)}
     if len(pair_map) != n * n:
         problems.append("crossing map (a,b) -> (under(a,b), over(b,a)) is not a bijection")
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            for z in range(1, n + 1):
-                if u(u(x, y), u(z, y)) != u(u(x, z), o(y, z)):
-                    problems.append("exchange law 1 fails at (%d,%d,%d)" % (x, y, z))
-                if o(u(x, y), u(z, y)) != u(o(x, z), o(y, z)):
-                    problems.append("exchange law 2 fails at (%d,%d,%d)" % (x, y, z))
-                if o(o(x, y), o(z, y)) != o(o(x, z), u(y, z)):
-                    problems.append("exchange law 3 fails at (%d,%d,%d)" % (x, y, z))
+    zs = range(n)
+    for x in range(n):
+        Ux, Ox = U[x], O[x]
+        for y in range(n):
+            # rows of under(under(x,y), -), over(under(x,y), -), over(over(x,y), -)
+            UUxy, OUxy, OOxy = U[Ux[y]], O[Ux[y]], O[Ox[y]]
+            Uy, Oy, UTy, OTy = U[y], O[y], UT[y], OT[y]
+            for z, uzy, ozy, uxz, oxz, uyz, oyz in zip(zs, UTy, OTy, Ux, Ox, Uy, Oy):
+                if UUxy[uzy] != U[uxz][oyz]:
+                    problems.append("exchange law 1 fails at (%d,%d,%d)" % (x + 1, y + 1, z + 1))
+                if OUxy[uzy] != U[oxz][oyz]:
+                    problems.append("exchange law 2 fails at (%d,%d,%d)" % (x + 1, y + 1, z + 1))
+                if OOxy[ozy] != O[oxz][uyz]:
+                    problems.append("exchange law 3 fails at (%d,%d,%d)" % (x + 1, y + 1, z + 1))
     return problems
 
 
@@ -143,11 +148,15 @@ def _mod_rep(v, m):
 
 
 def trivial_quandle(n):
+    if n < 1:
+        raise ValueError("n must be positive")
     return quandle([[x + 1] * n for x in range(n)], name="trivial-%d" % n)
 
 
 def core_cyclic(m):
     """Core quandle of the cyclic group: x . y = 2y - x mod m."""
+    if m < 1:
+        raise ValueError("m must be positive")
     under = [
         [_mod_rep(2 * y - x, m) for y in range(1, m + 1)] for x in range(1, m + 1)
     ]

@@ -13,9 +13,13 @@ with degenerate pairs dropped.  Cochains take values in Z (modulus 0)
 or Z_m; a 2-cochain is a vector over the pair basis, and its
 coboundary is d3^T applied to it.
 
-Everything comes from one integral Smith form u * d3^T * v = diag(d_i),
-computed once per algebra and kept on the Biquandle instance together
-with d2 and d3^T.  This is the universal-coefficient view: the
+The complex is built once per algebra, in one pass over the triples,
+and kept on the Biquandle instance: d2 as a dense matrix and d3^T as
+sparse rows, one {pair index: coefficient} dict of at most six entries
+per triple (boundary_matrices expands it to dense d2 and d3).  The
+cocycle test reads those rows directly.  Everything else comes from
+one integral Smith form u * d3^T * v = diag(d_i) of the same rows,
+computed on first use.  This is the universal-coefficient view: the
 cocycles over Z are the columns of v past the rank, and the lifts to
 Z^p of the cocycles over Z_m are spanned by the columns of v with
 column i scaled by m / gcd(d_i, m).  The lattice coordinates of a
@@ -71,58 +75,82 @@ def triple_basis(bq):
 
 
 def boundary_matrices(bq):
-    """(d2, d3) as integer matrices; checks that d2 @ d3 vanishes.
-
-    The check sums, for each triple, the d2 columns of the pairs in its
-    d3 column: at most six columns of at most four entries each.
-    """
-    pairs = pair_basis(bq)
-    triples = triple_basis(bq)
-    pair_index = {p: i for i, p in enumerate(pairs)}
-    n = bq.n
-    d2 = [[0] * len(pairs) for _ in range(n)]
-    d2_cols = []  # d2_cols[j]: (row, coefficient) of the entries of column j
-    for j, (x, y) in enumerate(pairs):
-        col = (
-            (x - 1, 1), (y - 1, 1), (bq.under(x, y) - 1, -1), (bq.over(y, x) - 1, -1)
-        )
-        for i, c in col:
-            d2[i][j] += c
-        d2_cols.append(col)
-    d3 = [[0] * len(triples) for _ in range(len(pairs))]
-    for j, (x, y, z) in enumerate(triples):
-        terms = (
-            (-1, (y, z)),
-            (1, (bq.over(y, x), bq.over(z, x))),
-            (1, (x, z)),
-            (-1, (bq.under(x, y), bq.over(z, y))),
-            (-1, (x, y)),
-            (1, (bq.under(x, z), bq.under(y, z))),
-        )
-        image = [0] * n
-        for c, pair in terms:
-            if pair[0] != pair[1]:
-                p = pair_index[pair]
-                d3[p][j] += c
-                for i, e in d2_cols[p]:
-                    image[i] += c * e
-        if any(image):
-            raise ValueError("boundary maps do not compose to zero for %r" % bq)
-    return d2, d3
+    """(d2, d3) as dense integer matrices, expanded from the sparse rows
+    of d3^T that _Complex builds; raises ValueError unless d2 @ d3
+    vanishes."""
+    cx = _Complex(bq)
+    d3 = [[0] * len(cx.d3t) for _ in range(cx.npairs)]
+    for j, row in enumerate(cx.d3t):
+        for p, c in row.items():
+            d3[p][j] = c
+    return cx.d2, d3
 
 
 class _Complex:
-    """d2 and d3^T of one biquandle, the Smith form of d3^T (computed on
-    first use), and H^2 per coefficient modulus."""
+    """The cochain complex of one biquandle, built in one pass over the
+    triples: d2 as a dense n x p matrix, d3^T as one {pair index:
+    coefficient} dict per triple in triple_basis order (at most six
+    entries, zeros dropped), the pair count p, the Smith form of d3^T
+    (computed on first use), and H^2 per coefficient modulus.
+
+    Each row is checked as it is built: the d2 columns of its pairs must
+    sum to zero, or d2 @ d3 would not vanish.  For the check, column k
+    of d2 is packed into one integer, the sum of d2[i][k] * 64**i.  A
+    row of d3^T has at most six terms and a column of d2 four entries of
+    +-1, so each entry of the image is below 64 in size, and the packed
+    image is zero only when the image is.
+    """
 
     def __init__(self, bq):
-        self.d2, d3 = boundary_matrices(bq)
-        self.d3t = transpose(d3)
+        n = bq.n
+        # 0-based tables; OT[x][y] = over(y, x), column x of over as a row
+        U = [[v - 1 for v in row] for row in bq.under_table]
+        O = [[v - 1 for v in row] for row in bq.over_table]
+        OT = [list(col) for col in zip(*O)]
+        pairs = pair_basis(bq)
+        p = self.npairs = len(pairs)
+        # index[a][b]: the basis index of the pair (a + 1, b + 1), or None
+        # when a == b (degenerate pairs are dropped)
+        index = [[None] * n for _ in range(n)]
+        d2 = [[0] * p for _ in range(n)]
+        packed = []
+        for k, (x, y) in enumerate(pairs):
+            x, y = x - 1, y - 1
+            index[x][y] = k
+            col = ((x, 1), (y, 1), (U[x][y], -1), (O[y][x], -1))
+            for i, c in col:
+                d2[i][k] += c
+            packed.append(sum(c << 6 * i for i, c in col))
+        d3t = []
+        for x in range(n):
+            Ux, OTx, ix = U[x], OT[x], index[x]
+            for y in range(n):
+                if y == x:
+                    continue
+                Uy, OTy, iy = U[y], OT[y], index[y]
+                i_oyx, i_uxy, kxy = index[OTx[y]], index[Ux[y]], ix[y]
+                for z in range(n):
+                    if z == y:
+                        continue
+                    # d3(x, y, z) = -(y, z) + (over(y, x), over(z, x)) + (x, z)
+                    #   - (under(x, y), over(z, y)) - (x, y) + (under(x, z), under(y, z))
+                    row = {}
+                    image = 0
+                    for c, k in ((-1, iy[z]), (1, i_oyx[OTx[z]]), (1, ix[z]),
+                                 (-1, i_uxy[OTy[z]]), (-1, kxy), (1, index[Ux[z]][Uy[z]])):
+                        if k is not None:
+                            row[k] = row.get(k, 0) + c
+                            image += c * packed[k]
+                    if image:
+                        raise ValueError("boundary maps do not compose to zero for %r" % bq)
+                    d3t.append({k: c for k, c in row.items() if c})
+        self.d2 = d2
+        self.d3t = d3t
         self.h2 = {}
 
     @cached_property
     def d3t_snf(self):
-        return snf(self.d3t)
+        return snf(self.d3t, self.npairs)
 
 
 def _complex(bq):
@@ -136,7 +164,7 @@ def _complex(bq):
 
 def check_length(bq, vec):
     """Raise ValueError unless vec is as long as the pair basis."""
-    want = len(_complex(bq).d2[0])
+    want = _complex(bq).npairs
     if len(vec) != want:
         raise ValueError("vector length %d, basis size %d" % (len(vec), want))
 
@@ -186,7 +214,7 @@ def coboundary_generators(bq, coeff):
     # the coboundary of a 1-cochain is its pullback along d2, so the
     # image is generated by the rows of d2 viewed as pair vectors
     gens = [list(row) for row in _complex(bq).d2]
-    p = len(pair_basis(bq))
+    p = _complex(bq).npairs
     if coeff.modulus:
         gens += [[coeff.modulus if i == j else 0 for i in range(p)] for j in range(p)]
     return gens
@@ -224,10 +252,11 @@ def h2_generators(bq, coeff):
 
 
 def is_cocycle(bq, coeff, vec):
+    """Whether d3^T vec vanishes (mod m over Z_m), read row by row off
+    the sparse d3^T; stops at the first triple where it does not."""
     check_length(bq, vec)
     for row in _complex(bq).d3t:
-        s = sum(a * b for a, b in zip(row, vec))
-        if coeff.reduce(s) != 0:
+        if coeff.reduce(sum(c * vec[j] for j, c in row.items())):
             return False
     return True
 

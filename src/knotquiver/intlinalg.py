@@ -87,9 +87,14 @@ class SNFResult:
         return x
 
 
-def snf(mat):
+def snf(mat, ncols=None):
     """Smith normal form: diag, the column transform v and its inverse,
     and a log of the row operations (see SNFResult).
+
+    mat is a list of dense rows, or, when ncols gives the column count,
+    a list of sparse rows, one {column: value} dict each; the dicts are
+    copied, not modified.  Both forms of the same matrix give the same
+    result.
 
     The matrix is held as one {column: value} dict per row of its
     nonzero entries, plus the set of rows with a nonzero in each column.
@@ -99,8 +104,12 @@ def snf(mat):
     a dense elimination, so the output does not depend on the storage.
     """
     m = len(mat)
-    n = len(mat[0]) if m else 0
-    rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
+    if ncols is None:
+        n = len(mat[0]) if m else 0
+        rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
+    else:
+        n = ncols
+        rows = [{j: x for j, x in row.items() if x} for row in mat]
     cols = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -41,6 +42,133 @@ def s3_mult_table():
     def comp(p, q):
         return tuple(p[q[i]] for i in range(3))
     return [[index[comp(p, q)] for q in perms] for p in perms]
+
+
+def reference_check_axioms(under, over):
+    """check_axioms as it was before it read flat tables: every lookup
+    goes through the u and o closures.  check_axioms must return the
+    same messages in the same order."""
+    problems = []
+    n = len(under)
+    for name, table in (("under", under), ("over", over)):
+        if len(table) != n:
+            problems.append("%s table has %d rows, expected %d" % (name, len(table), n))
+            return problems
+        for i, row in enumerate(table):
+            if len(row) != n:
+                problems.append("%s table row %d has length %d" % (name, i + 1, len(row)))
+                return problems
+            for v in row:
+                if not (type(v) is int and 1 <= v <= n):
+                    problems.append("%s table entry %r out of range 1..%d" % (name, v, n))
+                    return problems
+
+    def u(x, y):
+        return under[x - 1][y - 1]
+
+    def o(x, y):
+        return over[x - 1][y - 1]
+
+    for x in range(1, n + 1):
+        if u(x, x) != o(x, x):
+            problems.append(
+                "diagonal mismatch at x=%d: under(x,x)=%d, over(x,x)=%d"
+                % (x, u(x, x), o(x, x))
+            )
+    for y in range(1, n + 1):
+        if len({u(x, y) for x in range(1, n + 1)}) != n:
+            problems.append("under(-, %d) is not a bijection" % y)
+        if len({o(x, y) for x in range(1, n + 1)}) != n:
+            problems.append("over(-, %d) is not a bijection" % y)
+    pair_map = {(u(a, b), o(b, a)) for a in range(1, n + 1) for b in range(1, n + 1)}
+    if len(pair_map) != n * n:
+        problems.append("crossing map (a,b) -> (under(a,b), over(b,a)) is not a bijection")
+    for x in range(1, n + 1):
+        for y in range(1, n + 1):
+            for z in range(1, n + 1):
+                if u(u(x, y), u(z, y)) != u(u(x, z), o(y, z)):
+                    problems.append("exchange law 1 fails at (%d,%d,%d)" % (x, y, z))
+                if o(u(x, y), u(z, y)) != u(o(x, z), o(y, z)):
+                    problems.append("exchange law 2 fails at (%d,%d,%d)" % (x, y, z))
+                if o(o(x, y), o(z, y)) != o(o(x, z), u(y, z)):
+                    problems.append("exchange law 3 fails at (%d,%d,%d)" % (x, y, z))
+    return problems
+
+
+
+
+def relabel(table, perm):
+    """The table of the same operation with element x renamed perm[x - 1]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[perm[x] - 1][perm[y] - 1] = perm[table[x][y] - 1]
+    return out
+
+
+def random_permutation_columns(rng, n):
+    # every column a permutation: the bijection checks pass, and the
+    # exchange laws are what fails
+    cols = [rng.sample(range(1, n + 1), n) for _ in range(n)]
+    return [[cols[y][x] for y in range(n)] for x in range(n)]
+
+
+def constant_action(sigma):
+    """under(x, y) = over(x, y) = sigma(x): a biquandle for every
+    permutation sigma, and not a quandle unless sigma is the identity."""
+    table = [[s] * len(sigma) for s in sigma]
+    return Biquandle(table, table, name="constant-%s" % "".join(map(str, sigma)))
+
+
+def test_check_axioms_matches_reference_on_random_tables():
+    bases = [(bq.under_table, bq.over_table) for bq in (
+        constant_action([2, 3, 1]), constant_action([2, 1, 4, 3]),
+        core_cyclic(3), core_cyclic(4), core_cyclic(5), core_cyclic(6),
+        alexander_cyclic(5, 2), alexander_cyclic(5, 3), alexander_cyclic(7, 3),
+        trivial_quandle(1), trivial_quandle(2), trivial_quandle(4), swap3(),
+        constant_action_biquandle_z2(), conjugation_quandle(s3_mult_table()),
+    )]
+    rng = random.Random(4096)
+    tally = {"valid": 0, "broken": 0, "biquandle": 0}
+    for _ in range(2400):
+        kind = rng.randrange(5)
+        if kind < 2:
+            under, over = rng.choice(bases)
+            perm = rng.sample(range(1, len(under) + 1), len(under))
+            under, over = relabel(under, perm), relabel(over, perm)
+            if kind == 1:
+                # one to three entries changed, in either table
+                for _ in range(rng.randint(1, 3)):
+                    table = rng.choice((under, over))
+                    n = len(table)
+                    table[rng.randrange(n)][rng.randrange(n)] = rng.randint(1, n)
+        else:
+            n = rng.randint(1, 4)
+            if kind == 2:
+                under = [[rng.randint(1, n) for _ in range(n)] for _ in range(n)]
+            else:
+                under = random_permutation_columns(rng, n)
+            if rng.random() < 0.5:
+                over = [[x + 1] * n for x in range(n)]
+            else:
+                over = random_permutation_columns(rng, n)
+            if kind == 4:
+                # shape and range faults
+                table = rng.choice((under, over))
+                fault = rng.randrange(3)
+                if fault == 0:
+                    table[rng.randrange(n)][rng.randrange(n)] = rng.choice((0, n + 1, True))
+                elif fault == 1:
+                    table[rng.randrange(n)].append(1)
+                else:
+                    table.append([1] * n)
+        want = reference_check_axioms(under, over)
+        assert check_axioms(under, over) == want
+        tally["broken" if want else "valid"] += 1
+        if not want and any(o != [x + 1] * len(o) for x, o in enumerate(over)):
+            tally["biquandle"] += 1
+    assert min(tally.values()) >= 50, tally
 
 
 def test_axioms_pass_for_known_algebras():
@@ -101,6 +229,13 @@ def test_quandle_flag():
     assert not constant_action_biquandle_z2().is_quandle
 
 
+@pytest.mark.parametrize("make", [core_cyclic, trivial_quandle])
+@pytest.mark.parametrize("order", [0, -2])
+def test_zero_and_negative_orders_rejected(make, order):
+    with pytest.raises(ValueError, match="must be positive"):
+        make(order)
+
+
 def test_builtin_lookup():
     assert builtin("core-3") == core_cyclic(3)
     assert builtin("swap3") == swap3()
@@ -108,6 +243,9 @@ def test_builtin_lookup():
     assert builtin("alexander-5-2") == alexander_cyclic(5, 2)
     with pytest.raises(KeyError):
         builtin("nope-7")
+    for name in ("core-0", "trivial-0", "alexander-0-1"):
+        with pytest.raises(KeyError, match="^.bad algebra name"):
+            builtin(name)
 
 
 def test_homset_core3_exhaustive():

@@ -67,6 +67,24 @@ def test_check_rejects_wrong_vector_length(capsys, vectors, length):
     assert err == "error: vector length %d, basis size 6\n" % length
 
 
+# zero-order builtins: check used to die in check_length with an
+# IndexError, and homset to print "colorings: 0" with status 0
+ZERO_ORDER_ARGVS = [
+    ["check", "--quandle", "core-0", "--group", "3", "--cocycles", "[[]]"],
+    ["homset", "--link", "3_1", "--quandle", "core-0"],
+    ["homset", "--link", "3_1", "--quandle", "trivial-0"],
+]
+
+
+@pytest.mark.parametrize("argv", ZERO_ORDER_ARGVS)
+def test_zero_order_algebras_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    name = argv[argv.index("--quandle") + 1]
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad algebra name %r: " % name)
+
+
 def test_homset_catalog_link(capsys):
     code, out, _ = run(capsys, "homset", "--link", "L4a1", "--quandle", "core-4")
     assert code == 0
@@ -456,6 +474,7 @@ def fuzz_argvs(rng, tmp_path):
                for _ in range(rng.randint(0, 3))]))
     for name in algebras:
         yield ["homset", "--link", "3_1", "--quandle=" + name]
+    yield from ZERO_ORDER_ARGVS
 
 
 def test_cli_fuzz_exits_cleanly(tmp_path, capsys):

@@ -71,6 +71,156 @@ def cocycle_space(bq, coeff):
     return out
 
 
+def reference_boundary_matrices(bq):
+    """The dense builder the sparse complex replaced, kept verbatim:
+    (d2, d3) as integer matrices; checks that d2 @ d3 vanishes.
+
+    The check sums, for each triple, the d2 columns of the pairs in its
+    d3 column: at most six columns of at most four entries each.
+    """
+    pairs = pair_basis(bq)
+    triples = triple_basis(bq)
+    pair_index = {p: i for i, p in enumerate(pairs)}
+    n = bq.n
+    d2 = [[0] * len(pairs) for _ in range(n)]
+    d2_cols = []  # d2_cols[j]: (row, coefficient) of the entries of column j
+    for j, (x, y) in enumerate(pairs):
+        col = (
+            (x - 1, 1), (y - 1, 1), (bq.under(x, y) - 1, -1), (bq.over(y, x) - 1, -1)
+        )
+        for i, c in col:
+            d2[i][j] += c
+        d2_cols.append(col)
+    d3 = [[0] * len(triples) for _ in range(len(pairs))]
+    for j, (x, y, z) in enumerate(triples):
+        terms = (
+            (-1, (y, z)),
+            (1, (bq.over(y, x), bq.over(z, x))),
+            (1, (x, z)),
+            (-1, (bq.under(x, y), bq.over(z, y))),
+            (-1, (x, y)),
+            (1, (bq.under(x, z), bq.under(y, z))),
+        )
+        image = [0] * n
+        for c, pair in terms:
+            if pair[0] != pair[1]:
+                p = pair_index[pair]
+                d3[p][j] += c
+                for i, e in d2_cols[p]:
+                    image[i] += c * e
+        if any(image):
+            raise ValueError("boundary maps do not compose to zero for %r" % bq)
+    return d2, d3
+
+
+# every builtin family, both operations nontrivial (flip2), a zero d3
+# (trivial-3), and the core and Alexander quandles up to the largest the
+# benchmark loads
+COMPLEX_CASES = [
+    "swap3", "flip2", "trivial-3", "core-3", "core-4", "core-5", "core-6", "core-7",
+    "core-8", "core-9", "alexander-5-2", "alexander-7-3", "alexander-7-5", "alexander-8-3",
+]
+
+
+def sparse_rows(mat):
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
+@pytest.mark.parametrize("name", COMPLEX_CASES)
+def test_sparse_complex_matches_dense_reference(name):
+    bq = builtin(name)
+    d2, d3 = reference_boundary_matrices(bq)
+    cx = cohomology._Complex(bq)
+    assert cx.d2 == d2
+    assert cx.npairs == len(d3) == len(pair_basis(bq))
+    assert len(cx.d3t) == len(triple_basis(bq))
+    # rows in triple_basis order, repeated pairs summed, zeros dropped
+    assert cx.d3t == sparse_rows(transpose(d3))
+    assert boundary_matrices(bq) == (d2, d3)
+
+
+def broken_tables(rng):
+    """Tables that keep the entries in range but may break any axiom:
+    builtins with one entry changed, and columns of random permutations."""
+    bases = [builtin(name) for name in ("swap3", "flip2", "core-3", "core-4", "core-5",
+                                         "alexander-5-2", "trivial-3")]
+    for _ in range(300):
+        if rng.random() < 0.6:
+            bq = rng.choice(bases)
+            under = [row[:] for row in bq.under_table]
+            over = [row[:] for row in bq.over_table]
+            if rng.random() < 0.8:
+                table = rng.choice((under, over))
+                n = len(table)
+                table[rng.randrange(n)][rng.randrange(n)] = rng.randint(1, n)
+        else:
+            n = rng.randint(2, 4)
+            cols = [rng.sample(range(1, n + 1), n) for _ in range(n)]
+            under = [[cols[y][x] for y in range(n)] for x in range(n)]
+            over = [[x + 1] * n for x in range(n)]
+        yield Biquandle(under, over, check=False)
+
+
+def test_sparse_complex_rejects_what_the_dense_check_rejects():
+    # the one-pass check sums packed d2 columns; it must raise exactly
+    # where the dense check does, with the same message
+    outcomes = {True: 0, False: 0}
+    for bq in broken_tables(random.Random(515)):
+        try:
+            want = reference_boundary_matrices(bq)
+        except ValueError as exc:
+            want = str(exc)
+        try:
+            got = boundary_matrices(bq)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+        outcomes[isinstance(want, str)] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def reference_is_cocycle(bq, coeff, vec):
+    # the dense dot product of every row of d3^T with vec
+    _, d3 = reference_boundary_matrices(bq)
+    return all(coeff.reduce(s) == 0 for s in mat_vec(transpose(d3), vec))
+
+
+@pytest.mark.parametrize("name,m", [
+    ("swap3", 0), ("swap3", 3), ("flip2", 2), ("trivial-3", 0), ("core-4", 0), ("core-4", 2),
+    ("core-4", 4), ("core-6", 6), ("core-7", 7), ("core-9", 0), ("core-9", 9),
+    ("alexander-5-2", 5), ("alexander-8-3", 8), ("alexander-8-3", 0),
+])
+def test_is_cocycle_matches_dense_dot_product(name, m):
+    bq, coeff = builtin(name), CoeffGroup(m)
+    rng = random.Random("cocycle/%s/%d" % (name, m))
+    p = len(pair_basis(bq))
+    lattice = cocycle_lattice(bq, coeff)
+    d2, _ = reference_boundary_matrices(bq)
+
+    def combination(vectors, lo, hi):
+        out = [0] * p
+        for vec in vectors:
+            c = rng.randint(lo, hi)
+            out = [a + c * b for a, b in zip(out, vec)]
+        return out
+
+    non_cocycles = 0
+    for _ in range(10):
+        # cocycles, coboundaries plus multiples of m, and random vectors
+        for vec, cocycle in (
+            (combination(lattice, -3, 3), True),
+            ([a + m * b for a, b in zip(combination(d2, -3, 3),
+                                        [rng.randint(-2, 2) for _ in range(p)])], True),
+            ([rng.randint(-4, 4) for _ in range(p)], None),
+        ):
+            want = reference_is_cocycle(bq, coeff, vec)
+            assert is_cocycle(bq, coeff, vec) == want
+            assert want or cocycle is None
+            non_cocycles += not want
+    # where d3 vanishes (flip2, trivial quandles) every cochain is a cocycle
+    assert non_cocycles or not any(cohomology._complex(bq).d3t)
+
+
 def test_coeff_group_parse():
     assert CoeffGroup.parse("Z") == Z
     assert CoeffGroup.parse("z3") == Z3
@@ -348,9 +498,9 @@ def test_coboundary_solvers_built_once_per_modulus(monkeypatch):
     factored = []
     original = cohomology.snf
 
-    def counting(mat):
+    def counting(mat, *rest):
         factored.append(mat)
-        return original(mat)
+        return original(mat, *rest)
 
     monkeypatch.setattr(cohomology, "snf", counting)
     bq = core_cyclic(4)

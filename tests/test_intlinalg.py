@@ -3,6 +3,7 @@ import random
 import pytest
 
 from knotquiver.algebra import alexander_cyclic, builtin, core_cyclic
+from knotquiver import cohomology
 from knotquiver.cohomology import boundary_matrices
 from knotquiver.intlinalg import SNFResult, identity, mat_mul, snf, transpose
 
@@ -249,12 +250,19 @@ def test_snf_factorization_random():
         assert_smith_factorization(random_matrix(rng, m, n))
 
 
-def assert_same_smith_form(mat):
-    res, ref = snf(mat), reference_snf(mat)
+def assert_same_results(res, ref):
     assert res.diag == ref.diag
     assert res.v == ref.v
     assert res.v_inv == ref.v_inv
     assert res.row_ops == ref.row_ops
+
+
+def assert_same_smith_form(mat):
+    # the dense rows, and the same matrix as {column: value} rows
+    ref = reference_snf(mat)
+    assert_same_results(snf(mat), ref)
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in mat]
+    assert_same_results(snf(sparse, len(mat[0]) if mat else 0), ref)
 
 
 def test_snf_matches_dense_reference_random():
@@ -275,6 +283,29 @@ def test_snf_matches_dense_reference_random():
 def test_snf_matches_dense_reference_on_coboundary_matrices(name):
     _, d3 = boundary_matrices(builtin(name))
     assert_same_smith_form(transpose(d3))
+
+
+@pytest.mark.parametrize("name", [
+    "swap3", "flip2", "trivial-3", "core-3", "core-4", "core-5", "core-6",
+    "core-7", "core-8", "core-9", "alexander-5-2", "alexander-7-3", "alexander-7-5",
+    "alexander-8-3",
+])
+def test_snf_of_sparse_coboundary_rows_matches_dense_rows(name):
+    # the cohomology layer factors its sparse d3^T rows and keeps reading
+    # them afterwards, so snf must leave them as they were
+    bq = builtin(name)
+    cx = cohomology._Complex(bq)
+    rows = cx.d3t
+    before = [dict(row) for row in rows]
+    _, d3 = boundary_matrices(bq)
+    res = snf(rows, cx.npairs)
+    assert rows == before
+    assert_same_results(res, snf(transpose(d3)))
+    # trivial-3 has an all-zero d3^T: only ncols gives v its size
+    assert len(res.v) == len(res.v_inv) == cx.npairs
+    if not any(rows):
+        assert res.diag == [0] * min(len(rows), cx.npairs)
+        assert res.v == res.v_inv == identity(cx.npairs) and res.row_ops == []
 
 
 def solve_through_u(res, rhs):
