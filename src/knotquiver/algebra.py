@@ -189,6 +189,18 @@ def swap3():
     return quandle([[1, 1, 2], [2, 2, 1], [3, 3, 3]], name="swap3")
 
 
+# Loading an algebra checks its axioms over all N^3 triples, so builtin
+# names stop here; the constructors themselves take any order.
+MAX_BUILTIN_ORDER = 128
+
+
+def _builtin_order(text):
+    n = int(text)
+    if n > MAX_BUILTIN_ORDER:
+        raise ValueError("order %d is above the builtin cap of %d" % (n, MAX_BUILTIN_ORDER))
+    return n
+
+
 def builtin(name):
     """Look up a built-in algebra: trivial-N, core-M, alexander-M-T, swap3, flip2."""
     if name == "swap3":
@@ -198,11 +210,11 @@ def builtin(name):
     parts = name.split("-")
     try:
         if parts[0] == "trivial" and len(parts) == 2:
-            return trivial_quandle(int(parts[1]))
+            return trivial_quandle(_builtin_order(parts[1]))
         if parts[0] == "core" and len(parts) == 2:
-            return core_cyclic(int(parts[1]))
+            return core_cyclic(_builtin_order(parts[1]))
         if parts[0] == "alexander" and len(parts) == 3:
-            return alexander_cyclic(int(parts[1]), int(parts[2]))
+            return alexander_cyclic(_builtin_order(parts[1]), int(parts[2]))
     except ValueError as exc:
         raise KeyError("bad algebra name %r: %s" % (name, exc))
     raise KeyError("unknown algebra %r" % name)

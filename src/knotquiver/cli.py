@@ -336,7 +336,8 @@ def build_parser():
     p = sub.add_parser("batch", help="table over several links")
     common(p, link=False)
     p.add_argument("--links", default="all",
-                   help="comma list of names, or all/classical/virtual")
+                   help="comma list of names, or all, classical (the L-named "
+                        "links, not 3_1 or 4_1) or virtual")
     p.add_argument("--cocycles", required=True)
     p.add_argument("--endos")
     p.add_argument("--group-by", dest="group_by",

@@ -238,7 +238,6 @@ def quiver_isomorphic(q1, q2):
                 return False
             if match[tgt1] is not None and match[tgt1] != tgt2:
                 return False
-            # reverse direction: arrows into i must map onto arrows into j
         return True
 
     def backtrack(i):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from knotquiver import algebra
 from knotquiver.algebra import (
     Biquandle,
     alexander_cyclic,
@@ -245,6 +246,17 @@ def test_builtin_lookup():
         builtin("nope-7")
     for name in ("core-0", "trivial-0", "alexander-0-1"):
         with pytest.raises(KeyError, match="^.bad algebra name"):
+            builtin(name)
+
+
+def test_builtin_orders_capped(monkeypatch):
+    with pytest.raises(KeyError, match="^.bad algebra name 'core-129': .* cap of 128"):
+        builtin("core-129")
+    monkeypatch.setattr(algebra, "MAX_BUILTIN_ORDER", 5)
+    assert builtin("core-5") == core_cyclic(5)
+    assert builtin("alexander-5-2") == alexander_cyclic(5, 2)
+    for name in ("core-6", "trivial-6", "alexander-7-3"):
+        with pytest.raises(KeyError, match="builtin cap of 5"):
             builtin(name)
 
 

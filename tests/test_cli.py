@@ -85,6 +85,26 @@ def test_zero_order_algebras_rejected(capsys, argv):
     assert err.startswith("error: bad algebra name %r: " % name)
 
 
+# builtin orders above algebra.MAX_BUILTIN_ORDER exit before any table is
+# built; the axiom check is cubic in the order
+OVERSIZE_ARGVS = [
+    ["check", "--quandle", "core-1000", "--group", "3", "--cocycles", "[[]]"],
+    ["homset", "--link", "3_1", "--quandle", "trivial-100000"],
+    ["homset", "--link", "3_1", "--quandle", "alexander-1000-3"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZE_ARGVS)
+def test_oversize_builtin_orders_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    name = argv[argv.index("--quandle") + 1]
+    order = int(name.split("-")[1])
+    assert code == 1
+    assert out == ""
+    assert err == "error: bad algebra name %r: order %d is above the builtin cap of 128\n" % (
+        name, order)
+
+
 def test_homset_catalog_link(capsys):
     code, out, _ = run(capsys, "homset", "--link", "L4a1", "--quandle", "core-4")
     assert code == 0
@@ -475,6 +495,7 @@ def fuzz_argvs(rng, tmp_path):
     for name in algebras:
         yield ["homset", "--link", "3_1", "--quandle=" + name]
     yield from ZERO_ORDER_ARGVS
+    yield from OVERSIZE_ARGVS
 
 
 def test_cli_fuzz_exits_cleanly(tmp_path, capsys):

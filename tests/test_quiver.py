@@ -199,6 +199,24 @@ def test_virtual_mirror_quiver_differs():
     assert not quiver_isomorphic(q, qm)
 
 
+def test_isomorphism_checks_arrow_targets():
+    # equal subspaces and matrices at every vertex, so only the check of
+    # the completed bijection tells the two loops from the swap
+    def two_vertex(targets):
+        identity = [[1, 0], [0, 1]]
+        return RepQuiver(
+            vertices=[(1,), (2,)], chains=[[0], [0]], subspaces=[(0,), (0,)],
+            edges=[(src, tgt, identity) for src, tgt in enumerate(targets)],
+            edge_endos=[0, 0], endos=[(1, 2)], modulus=2,
+        )
+
+    loops, swap = two_vertex([0, 1]), two_vertex([1, 0])
+    assert quiver_isomorphic(loops, loops)
+    assert quiver_isomorphic(swap, swap)
+    assert not quiver_isomorphic(loops, swap)
+    assert not quiver_isomorphic(swap, loops)
+
+
 def test_moves_give_isomorphic_quivers():
     cases = [
         (ref_l4(), ref_data(), 0, 5),

@@ -1,7 +1,6 @@
-"""Names that the catalog tool and the benchmark's traced pass look up in
-the package must exist, so renaming a function breaks a test here
-instead of the tool or the tracer.  Both files are read with ast, not
-imported."""
+"""Names that the benchmark's traced pass looks up in the package must
+exist, so renaming a function breaks a test here instead of the tracer.
+The tracer's file is read with ast, not imported."""
 
 import ast
 import importlib
@@ -10,18 +9,6 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def knotquiver_imports(path):
-    tree = ast.parse(path.read_text())
-    return [
-        (node.module, alias.name)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        and node.module
-        and node.module.split(".")[0] == "knotquiver"
-        for alias in node.names
-    ]
 
 
 def traced_functions(path):
@@ -33,18 +20,11 @@ def traced_functions(path):
     raise AssertionError("no TRACED in %s" % path)
 
 
-BUILD_CATALOG_IMPORTS = knotquiver_imports(ROOT / "tools" / "build_catalog.py")
 TRACED = traced_functions(ROOT / "benchmark" / "layers.py")
 
 
 def test_names_were_found():
-    assert ("knotquiver.cohomology", "weight_multiset") in BUILD_CATALOG_IMPORTS
     assert ("homset", "colorings") in TRACED
-
-
-@pytest.mark.parametrize("module, name", BUILD_CATALOG_IMPORTS)
-def test_build_catalog_imports_resolve(module, name):
-    assert hasattr(importlib.import_module(module), name)
 
 
 @pytest.mark.parametrize("module, name", TRACED)
