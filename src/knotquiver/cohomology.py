@@ -14,15 +14,17 @@ or Z_m; a 2-cochain is a vector over the pair basis, and its
 coboundary is d3^T applied to it.
 
 The complex is built once per algebra, in one pass over the triples,
-and kept on the Biquandle instance: d2 as a dense matrix and d3^T as
-sparse rows, one {pair index: coefficient} dict of at most six entries
-per triple (boundary_matrices expands it to dense d2 and d3).  The
-cocycle test reads those rows directly.  Everything else comes from
-one integral Smith form u * d3^T * v = diag(d_i) of the same rows,
-computed on first use.  This is the universal-coefficient view: the
-cocycles over Z are the columns of v past the rank, and the lifts to
-Z^p of the cocycles over Z_m are spanned by the columns of v with
-column i scaled by m / gcd(d_i, m).  The lattice coordinates of a
+and kept on the Biquandle instance: d2 as a dense matrix and d3 as six
+pair indices per triple, the three terms with +1 and then the three
+with -1 (see _Complex).  The cocycle test sums a cochain's entries at
+those indices.  Everything else comes from one integral Smith form
+u * d3^T * v = diag(d_i), computed on first use; only its input, d3^T
+as one {pair index: coefficient} dict per triple, is expanded from the
+indices (boundary_matrices expands the same rows to dense d2 and d3).
+This is the universal-coefficient view: the cocycles over Z are the
+columns of v past the rank, and the lifts to Z^p of the cocycles over
+Z_m are spanned by the columns of v with column i scaled by
+m / gcd(d_i, m).  The lattice coordinates of a
 cochain come from v^-1, not from a second Smith form: entry i of
 v^-1 x divided by m / gcd(d_i, m), or over Z the entries of v^-1 x
 past the rank.  H^2 is the quotient of the lattice by the coboundaries
@@ -31,6 +33,7 @@ coordinate matrix, u * X * w = diag, gives its invariant factors and
 generators, and the class of a cocycle with coordinates x is u * x.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -88,17 +91,28 @@ def boundary_matrices(bq):
 
 class _Complex:
     """The cochain complex of one biquandle, built in one pass over the
-    triples: d2 as a dense n x p matrix, d3^T as one {pair index:
-    coefficient} dict per triple in triple_basis order (at most six
-    entries, zeros dropped), the pair count p, the Smith form of d3^T
-    (computed on first use), and H^2 per coefficient modulus.
+    triples: d2 as a dense n x p matrix, the pair count p, d3 as terms,
+    one tuple of six pair indices per triple in triple_basis order, and,
+    on first use, d3^T as {pair index: coefficient} rows and their Smith
+    form, and H^2 per coefficient modulus.
 
-    Each row is checked as it is built: the d2 columns of its pairs must
-    sum to zero, or d2 @ d3 would not vanish.  For the check, column k
-    of d2 is packed into one integer, the sum of d2[i][k] * 64**i.  A
-    row of d3^T has at most six terms and a column of d2 four entries of
-    +-1, so each entry of the image is below 64 in size, and the packed
-    image is zero only when the image is.
+    The slots of a terms entry are fixed: the first three pairs enter
+    d3(x, y, z) with +1, the last three with -1,
+
+        +(over(y, x), over(z, x)) +(x, z) +(under(x, z), under(y, z))
+        -(y, z) -(under(x, y), over(z, y)) -(x, y)
+
+    and index p stands for a degenerate pair, which d3 drops.  A pair
+    may fill more than one slot; the terms then cancel or add up in
+    arithmetic, as they do in the dict rows of d3t.
+
+    Each triple is checked as it is built: the d2 columns of its pairs
+    must sum to zero, or d2 @ d3 would not vanish.  For the check,
+    column k of d2 is packed into one integer, the sum of
+    d2[i][k] * 64**i, with a 0 at index p.  A column of d3 has at most
+    six terms and a column of d2 four entries of +-1, so each entry of
+    the image is at most 24 in size, and the packed image is zero only
+    when the image is.
     """
 
     def __init__(self, bq):
@@ -109,9 +123,9 @@ class _Complex:
         OT = [list(col) for col in zip(*O)]
         pairs = pair_basis(bq)
         p = self.npairs = len(pairs)
-        # index[a][b]: the basis index of the pair (a + 1, b + 1), or None
-        # when a == b (degenerate pairs are dropped)
-        index = [[None] * n for _ in range(n)]
+        # index[a][b]: the basis index of the pair (a + 1, b + 1), or p
+        # when a == b (a degenerate pair)
+        index = [[p] * n for _ in range(n)]
         d2 = [[0] * p for _ in range(n)]
         packed = []
         for k, (x, y) in enumerate(pairs):
@@ -121,7 +135,8 @@ class _Complex:
             for i, c in col:
                 d2[i][k] += c
             packed.append(sum(c << 6 * i for i, c in col))
-        d3t = []
+        packed.append(0)
+        terms = []
         for x in range(n):
             Ux, OTx, ix = U[x], OT[x], index[x]
             for y in range(n):
@@ -132,21 +147,28 @@ class _Complex:
                 for z in range(n):
                     if z == y:
                         continue
-                    # d3(x, y, z) = -(y, z) + (over(y, x), over(z, x)) + (x, z)
-                    #   - (under(x, y), over(z, y)) - (x, y) + (under(x, z), under(y, z))
-                    row = {}
-                    image = 0
-                    for c, k in ((-1, iy[z]), (1, i_oyx[OTx[z]]), (1, ix[z]),
-                                 (-1, i_uxy[OTy[z]]), (-1, kxy), (1, index[Ux[z]][Uy[z]])):
-                        if k is not None:
-                            row[k] = row.get(k, 0) + c
-                            image += c * packed[k]
-                    if image:
+                    a, b, c = i_oyx[OTx[z]], ix[z], index[Ux[z]][Uy[z]]
+                    d, e = iy[z], i_uxy[OTy[z]]
+                    if packed[a] + packed[b] + packed[c] - packed[d] - packed[e] - packed[kxy]:
                         raise ValueError("boundary maps do not compose to zero for %r" % bq)
-                    d3t.append({k: c for k, c in row.items() if c})
+                    terms.append((a, b, c, d, e, kxy))
         self.d2 = d2
-        self.d3t = d3t
+        self.terms = terms
         self.h2 = {}
+
+    @cached_property
+    def d3t(self):
+        """d3^T as one {pair index: coefficient} dict per triple, in
+        triple_basis order: repeated pairs summed, zeros dropped."""
+        p = self.npairs
+        rows = []
+        for term in self.terms:
+            row = {}
+            for k, c in zip(term, (1, 1, 1, -1, -1, -1)):
+                if k != p:
+                    row[k] = row.get(k, 0) + c
+            rows.append({k: c for k, c in row.items() if c})
+        return rows
 
     @cached_property
     def d3t_snf(self):
@@ -252,11 +274,17 @@ def h2_generators(bq, coeff):
 
 
 def is_cocycle(bq, coeff, vec):
-    """Whether d3^T vec vanishes (mod m over Z_m), read row by row off
-    the sparse d3^T; stops at the first triple where it does not."""
+    """Whether d3^T vec vanishes (mod m over Z_m), read triple by triple
+    off the six pair indices of each; stops at the first triple where it
+    does not.  vec is not modified."""
     check_length(bq, vec)
-    for row in _complex(bq).d3t:
-        if coeff.reduce(sum(c * vec[j] for j, c in row.items())):
+    m = coeff.modulus
+    # a copy padded with a 0 at index p, the degenerate pair
+    v = list(vec)
+    v.append(0)
+    for a, b, c, d, e, f in _complex(bq).terms:
+        s = v[a] + v[b] + v[c] - v[d] - v[e] - v[f]
+        if (s % m if m else s):
             return False
     return True
 
@@ -288,7 +316,7 @@ def h2_coordinates(bq, coeff, vec):
 
 def evaluate(coeff, phi, chain):
     """Pair a 2-cochain with an integer 2-chain."""
-    return coeff.reduce(sum(a * b for a, b in zip(phi, chain)))
+    return coeff.reduce(sum(map(operator.mul, phi, chain)))
 
 
 def weight_multiset(coeff, phi, chains):

@@ -94,14 +94,21 @@ def _plan(diagram):
 
 
 def _tables(bq):
-    """The six operations as flat lists: table[x * (n + 1) + y]."""
-    size = bq.n + 1
-    tables = [[0] * (size * size) for _ in range(6)]
-    for x in bq.elements:
-        for y in bq.elements:
-            values = (bq.under(x, y), bq.over(x, y), bq.under_inv(x, y), bq.over_inv(x, y))
-            for table, v in zip(tables, values + bq.through_inv(x, y)):
-                table[x * size + y] = v
+    """The six operations as flat lists: table[x * (n + 1) + y].
+
+    Built once per Biquandle instance and kept on it, like the cochain
+    complex; the tables are not expected to change after construction.
+    """
+    tables = getattr(bq, "_coloring_tables", None)
+    if tables is None:
+        size = bq.n + 1
+        tables = [[0] * (size * size) for _ in range(6)]
+        for x in bq.elements:
+            for y in bq.elements:
+                values = (bq.under(x, y), bq.over(x, y), bq.under_inv(x, y), bq.over_inv(x, y))
+                for table, v in zip(tables, values + bq.through_inv(x, y)):
+                    table[x * size + y] = v
+        bq._coloring_tables = tables
     return tables
 
 
@@ -160,6 +167,15 @@ def pair_basis(bq):
     ]
 
 
+def _pair_index(bq):
+    """{pair: index} over pair_basis, built once per Biquandle instance
+    and kept on it."""
+    index = getattr(bq, "_pair_index", None)
+    if index is None:
+        index = bq._pair_index = {p: i for i, p in enumerate(pair_basis(bq))}
+    return index
+
+
 def chain_vector(diagram, bq, coloring):
     """Integer 2-chain of a coloring over the nondegenerate pair basis.
 
@@ -167,9 +183,8 @@ def chain_vector(diagram, bq, coloring):
     negative ones -(under_out color, over_in color); pairs with equal
     entries are degenerate and dropped.
     """
-    basis = pair_basis(bq)
-    index = {p: i for i, p in enumerate(basis)}
-    vec = [0] * len(basis)
+    index = _pair_index(bq)
+    vec = [0] * len(index)
     for c in diagram.crossings:
         if c.sign > 0:
             pair = (coloring[c.under_in], coloring[c.over_out])

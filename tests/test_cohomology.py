@@ -1,4 +1,5 @@
 import random
+from functools import cached_property
 
 import pytest
 
@@ -133,7 +134,15 @@ def test_sparse_complex_matches_dense_reference(name):
     cx = cohomology._Complex(bq)
     assert cx.d2 == d2
     assert cx.npairs == len(d3) == len(pair_basis(bq))
-    assert len(cx.d3t) == len(triple_basis(bq))
+    assert len(cx.terms) == len(cx.d3t) == len(triple_basis(bq))
+    # each terms entry, +1 on its first three pair indices and -1 on its
+    # last three, index p (a degenerate pair) dropped, is a column of d3
+    p = cx.npairs
+    for term, col in zip(cx.terms, transpose(d3)):
+        expanded = [0] * (p + 1)
+        for k, c in zip(term, (1, 1, 1, -1, -1, -1)):
+            expanded[k] += c
+        assert expanded[:p] == col
     # rows in triple_basis order, repeated pairs summed, zeros dropped
     assert cx.d3t == sparse_rows(transpose(d3))
     assert boundary_matrices(bq) == (d2, d3)
@@ -204,14 +213,21 @@ def test_is_cocycle_matches_dense_dot_product(name, m):
             out = [a + c * b for a, b in zip(out, vec)]
         return out
 
+    big = 10 ** 6
     non_cocycles = 0
     for _ in range(10):
-        # cocycles, coboundaries plus multiples of m, and random vectors
+        # cocycles, coboundaries plus multiples of m, and random vectors,
+        # each also with entries near +-10^6, where a pair that fills more
+        # than one slot of a triple must cancel or add up exactly
         for vec, cocycle in (
             (combination(lattice, -3, 3), True),
+            (combination(lattice, -big, big), True),
             ([a + m * b for a, b in zip(combination(d2, -3, 3),
                                         [rng.randint(-2, 2) for _ in range(p)])], True),
+            ([a + m * b for a, b in zip(combination(d2, -big, big),
+                                        [rng.randint(-big, big) for _ in range(p)])], True),
             ([rng.randint(-4, 4) for _ in range(p)], None),
+            ([rng.choice((-big, big)) + rng.randint(-4, 4) for _ in range(p)], None),
         ):
             want = reference_is_cocycle(bq, coeff, vec)
             assert is_cocycle(bq, coeff, vec) == want
@@ -471,27 +487,49 @@ def test_modular_cocycle_lattice_matches_augmented_kernel(name, m):
 
 
 def test_boundary_matrices_built_once_per_instance(monkeypatch):
-    built = []
+    built, expanded = [], []
     original = cohomology._Complex
+    expand = original.d3t.func
 
     def counting(bq):
         built.append(bq)
         return original(bq)
 
+    def counting_expand(cx):
+        expanded.append(cx)
+        return expand(cx)
+
+    rows = cached_property(counting_expand)
+    rows.__set_name__(original, "d3t")
+    monkeypatch.setattr(original, "d3t", rows)
     monkeypatch.setattr(cohomology, "_Complex", counting)
     bq = core_cyclic(4)
     coeff = CoeffGroup(4)
     zero = [0] * len(pair_basis(bq))
+    cohomology.check_length(bq, zero)
     for vec in CORE4_INT_COCYCLES + [zero]:
         assert is_cocycle(bq, coeff, vec)
-    h2_generators(bq, coeff)
+        # a tuple is accepted, and a list is left as it was
+        kept = list(vec)
+        assert is_cocycle(bq, coeff, tuple(vec))
+        assert vec == kept
+    # the cocycle test reads the six pair indices per triple; the dict
+    # rows of d3^T and their Smith form are left for the first H^2 call
+    cx = cohomology._complex(bq)
+    assert "d3t" not in vars(cx) and "d3t_snf" not in vars(cx)
+    assert not expanded
     h2_generators(bq, Z)
+    h2_generators(bq, coeff)
     assert is_coboundary(bq, coeff, zero)
     assert len(built) == 1 and built[0] is bq
+    assert expanded == [cx]
 
     fresh = core_cyclic(4)
     assert is_cocycle(fresh, coeff, zero)
+    assert not is_cocycle(fresh, coeff, [1] + zero[1:])
     assert len(built) == 2 and built[1] is fresh
+    assert "d3t" not in vars(cohomology._complex(fresh))
+    assert expanded == [cx]
 
 
 def test_coboundary_solvers_built_once_per_modulus(monkeypatch):

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from knotquiver.algebra import builtin, constant_action_biquandle_z2, core_cyclic, swap3
+from knotquiver import homset
+from knotquiver.algebra import Biquandle, builtin, constant_action_biquandle_z2, core_cyclic, swap3
 from knotquiver.catalog import catalog_names, get_diagram
 from knotquiver.construct import braid_closure
 from knotquiver.diagram import (
@@ -135,6 +136,24 @@ def test_braid_relation_preserves_chains():
     rhs = braid_closure([2, 1, 2, 1, 2])
     bq = core_cyclic(3)
     assert chain_multiset(lhs, bq) == chain_multiset(rhs, bq)
+
+
+def test_coloring_lookups_built_once_per_algebra(monkeypatch):
+    # the operation tables of colorings and the pair index of chain_vector
+    # are built on first use and kept on the algebra
+    bq = core_cyclic(5)
+    diagrams = [braid_closure([1, 1, 1]), braid_closure([1, -2, 1, -2])]
+    found = [colorings(d, bq) for d in diagrams]
+    chains = [[chain_vector(d, bq, col) for col in cols] for d, cols in zip(diagrams, found)]
+
+    def rebuilt(*args):
+        raise AssertionError("lookup rebuilt")
+
+    monkeypatch.setattr(Biquandle, "through_inv", rebuilt)
+    monkeypatch.setattr(homset, "pair_basis", rebuilt)
+    assert [colorings(d, bq) for d in diagrams] == found
+    assert [[chain_vector(d, bq, col) for col in cols]
+            for d, cols in zip(diagrams, found)] == chains
 
 
 def test_push_forward():
