@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from functools import cached_property
 
@@ -653,3 +655,25 @@ def test_wrong_vector_length_raises(check, vec):
     with pytest.raises(ValueError) as err:
         check(swap3(), Z3, vec)
     assert str(err.value) == "vector length %d, basis size 6" % len(vec)
+
+
+# sha256 of the H^2 output below, recorded with the eager Smith form of
+# d3^T before it learned to stop at a proven rank bound; any change to
+# h2_generators or h2_coordinates on these cases changes it
+GOLDEN_H2_CASES = H2_CASES + [("alexander-11-2", 11), ("core-15", 0)]
+GOLDEN_H2_DIGEST = "b1d2b313d6b376905b761e13d7857bf91cde9c08aca4da1813712a508d6b7b98"
+
+
+def golden_h2_digest():
+    out = []
+    for name, m in GOLDEN_H2_CASES:
+        bq, coeff = builtin(name), CoeffGroup(m)
+        gens = h2_generators(bq, coeff)
+        coords = [list(h2_coordinates(bq, coeff, vec)) for _, vec in gens]
+        out.append([name, m, gens, coords])
+    text = json.dumps(out, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_h2_output_matches_golden_digest():
+    assert golden_h2_digest() == GOLDEN_H2_DIGEST
