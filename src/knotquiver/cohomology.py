@@ -21,6 +21,12 @@ those indices.  Everything else comes from one integral Smith form
 u * d3^T * v = diag(d_i), computed on first use; only its input, d3^T
 as one {pair index: coefficient} dict per triple, is expanded from the
 indices (boundary_matrices expands the same rows to dense d2 and d3).
+The Smith form stops at a proven bound on the rank of d3^T: d2 @ d3
+vanishes, so rank d3 <= p - rank d2, and rank d2 is taken over F_q for
+a large prime q, which can only underestimate the rational rank.  On a
+connected quandle the bound is the rank (rational H^2 vanishes), and
+the factorization stops once its pivots are found, without bringing in
+the rows past them; u is then not kept, and nothing here reads it.
 This is the universal-coefficient view: the cocycles over Z are the
 columns of v past the rank, and the lifts to Z^p of the cocycles over
 Z_m are spanned by the columns of v with column i scaled by
@@ -39,8 +45,11 @@ from functools import cached_property
 from math import gcd
 
 from .homset import chain_vector, colorings, pair_basis
-from .intlinalg import mat_mul, snf, transpose
+from .intlinalg import mat_mul, rank_mod, snf, transpose
 from .polynomials import GroupExponentPolynomial
+
+# the prime for the rank of d2 that bounds the rank of d3^T
+RANK_PRIME = 2 ** 61 - 1
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,12 @@ class _Complex:
     one tuple of six pair indices per triple in triple_basis order, and,
     on first use, d3^T as {pair index: coefficient} rows and their Smith
     form, and H^2 per coefficient modulus.
+
+    The Smith form of d3^T is told that its rank is at most p - rank d2,
+    with rank d2 over F_q (RANK_PRIME), at most its rank over Q.  The
+    check below makes the bound sound: d2 @ d3 = 0 puts the image of d3
+    in the kernel of d2.  The result carries diag, v and v^-1, the only
+    parts the cohomology reads, but no u once it stops at the bound.
 
     The slots of a terms entry are fixed: the first three pairs enter
     d3(x, y, z) with +1, the last three with -1,
@@ -172,7 +187,8 @@ class _Complex:
 
     @cached_property
     def d3t_snf(self):
-        return snf(self.d3t, self.npairs)
+        bound = self.npairs - rank_mod(self.d2, RANK_PRIME)
+        return snf(self.d3t, self.npairs, bound)
 
 
 def _complex(bq):

@@ -5,6 +5,7 @@ fraction free and exact at any size.
 """
 
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 
 
 def identity(n):
@@ -49,7 +50,10 @@ class SNFResult:
     The row operations are kept as a log in the order they were applied
     (("swap", i, j, 0), ("add", i, j, c) for row_i += c * row_j, and
     ("neg", i, 0, 0)).  u and u_inv are built from it on first access;
-    apply_u multiplies a vector by u without forming it.
+    apply_u multiplies a vector by u without forming it.  A Smith form
+    that stopped at its rank bound keeps no log (row_ops is None): u,
+    u_inv and apply_u then raise ValueError instead of returning part
+    of u.
     """
 
     def __init__(self, diag, v, v_inv, row_ops, nrows):
@@ -63,21 +67,26 @@ class SNFResult:
     def rank(self):
         return sum(1 for d in self.diag if d != 0)
 
+    def _log(self):
+        if self.row_ops is None:
+            raise ValueError("no row transform: the Smith form stopped at its rank bound")
+        return self.row_ops
+
     @cached_property
     def u(self):
-        return _replay_rows(self.row_ops, identity(self.nrows))
+        return _replay_rows(self._log(), identity(self.nrows))
 
     @cached_property
     def u_inv(self):
         # u = E_k ... E_1, so u_inv = E_1^-1 ... E_k^-1: the inverse
         # operations applied to the identity in reverse order
-        inverse = [(kind, i, j, -c) for kind, i, j, c in reversed(self.row_ops)]
+        inverse = [(kind, i, j, -c) for kind, i, j, c in reversed(self._log())]
         return _replay_rows(inverse, identity(self.nrows))
 
     def apply_u(self, vec):
         """u @ vec."""
         x = list(vec)
-        for kind, i, j, c in self.row_ops:
+        for kind, i, j, c in self._log():
             if kind == "swap":
                 x[i], x[j] = x[j], x[i]
             elif kind == "add":
@@ -87,14 +96,33 @@ class SNFResult:
         return x
 
 
-def snf(mat, ncols=None):
+def rank_mod(mat, q):
+    """Rank of an integer matrix over the field with q elements (q prime);
+    at most its rank over the rationals."""
+    rows = [[x % q for x in row] for row in mat]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][j], -1, q)
+        prow = [x * inv % q for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            c = rows[i][j]
+            if c:
+                rows[i] = [(x - c * y) % q for x, y in zip(rows[i], prow)]
+        rank += 1
+    return rank
+
+
+def snf(mat, ncols=None, rank_bound=None):
     """Smith normal form: diag, the column transform v and its inverse,
     and a log of the row operations (see SNFResult).
 
     mat is a list of dense rows, or, when ncols gives the column count,
-    a list of sparse rows, one {column: value} dict each; the dicts are
-    copied, not modified.  Both forms of the same matrix give the same
-    result.
+    a list of sparse rows, one {column: value} dict each; mat is not
+    modified.  Both forms of the same matrix give the same result.
 
     The matrix is held as one {column: value} dict per row of its
     nonzero entries, plus the set of rows with a nonzero in each column.
@@ -102,28 +130,85 @@ def snf(mat, ncols=None):
     and a column operation only the rows with a nonzero in the pivot
     column (and v, v_inv).  The operations and their order are those of
     a dense elimination, so the output does not depend on the storage.
+
+    A row enters the elimination only when the pivot scan first reaches
+    it; the scan stops at the first row that holds a unit, and on sparse
+    +-1 input it picks every pivot from the first few rows.  While each
+    pivot is a unit, a step's row sweep clears the pivot column before
+    its column operations run, so those touch the pivot row alone; a
+    row that enters at step t is brought up to date by replaying steps
+    0..t-1 in order: step s subtracts its pivot row, kept in original
+    column labels, times the row's entry in the pivot column over the
+    pivot.  The log is kept per step.  Rows enter in index order, so a
+    late row's additions go at the end of each step's segment, where a
+    dense elimination puts them, and before the step's "neg".  A step
+    whose pivot is not a unit has had every row enter (no unit stopped
+    the scan), and from then on each step runs as a dense one would.
+
+    rank_bound, when given, is an upper bound on the rank of mat: the
+    caller proves rank <= rank_bound.  The elimination stops after
+    rank_bound pivots, since the rows left would all reduce to zero.
+    diag, v and v_inv are those of the full elimination, but rows that
+    never entered have no log entries, so row_ops is None unless every
+    row entered.  Without a bound, or when the bound is not reached,
+    the rows not yet entered enter at the end and the log is complete.
+    A bound below the rank is caught only when a row that entered is
+    left nonzero; it then raises ValueError.
     """
     m = len(mat)
-    if ncols is None:
-        n = len(mat[0]) if m else 0
-        rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
-    else:
-        n = ncols
-        rows = [{j: x for j, x in row.items() if x} for row in mat]
+    n = (len(mat[0]) if m else 0) if ncols is None else ncols
+    rows = []  # the rows entered so far, {position: value} each
     cols = [set() for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j in row:
-            cols[j].add(i)
+    # label[k]: the original column now at position k; pos inverts it
+    label = list(range(n))
+    pos = list(range(n))
     vt = identity(n)  # the columns of v, as rows
     v_inv = identity(n)
-    row_ops = []
+    log = []  # the row operations, one list per step
+    negated = set()  # the steps that end with ("neg", t, 0, 0)
+    pivots = []  # per step while rows are left out: (pivot, row by label)
+
+    def enter():
+        # bring in row len(rows): replay, by increasing step s, row +=
+        # -q * (pivot row s) where q = (entry in column s) // pivot
+        i = len(rows)
+        src = mat[i]
+        row = {j: x for j, x in (src.items() if ncols is not None else enumerate(src)) if x}
+        t = len(pivots)
+        due = [pos[k] for k in row if pos[k] < t]
+        heapify(due)
+        while due:
+            s = heappop(due)
+            # None when an earlier step cleared it, or s came up twice
+            x = row.get(label[s])
+            if x is None:
+                continue
+            d, prow = pivots[s]
+            q = x // d
+            for k, y in prow.items():
+                z = row.get(k)
+                if z is None:
+                    row[k] = -q * y
+                    if pos[k] < t:
+                        heappush(due, pos[k])
+                elif z - q * y:
+                    row[k] = z - q * y
+                else:
+                    del row[k]
+            log[s].append(("add", i, s, -q))
+        if t:
+            # no column has moved before the first step
+            row = {pos[k]: x for k, x in row.items()}
+        for k in row:
+            cols[k].add(i)
+        rows.append(row)
 
     def row_swap(i, j):
         rows[i], rows[j] = rows[j], rows[i]
         # a column with a nonzero in just one of the rows moves it over
         for k in rows[i].keys() ^ rows[j].keys():
             cols[k] ^= {i, j}
-        row_ops.append(("swap", i, j, 0))
+        log[-1].append(("swap", i, j, 0))
 
     def row_add(i, j, c):
         # row_i += c * row_j
@@ -138,11 +223,11 @@ def snf(mat, ncols=None):
             else:
                 del ri[k]
                 cols[k].remove(i)
-        row_ops.append(("add", i, j, c))
+        log[-1].append(("add", i, j, c))
 
     def row_neg(i):
         rows[i] = {k: -x for k, x in rows[i].items()}
-        row_ops.append(("neg", i, 0, 0))
+        negated.add(i)
 
     def col_swap(i, j):
         for r in cols[i] | cols[j]:
@@ -156,6 +241,9 @@ def snf(mat, ncols=None):
         cols[i], cols[j] = cols[j], cols[i]
         vt[i], vt[j] = vt[j], vt[i]
         v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+        label[i], label[j] = label[j], label[i]
+        pos[label[i]] = i
+        pos[label[j]] = j
 
     def col_add(i, j, c):
         # col_i += c * col_j
@@ -176,12 +264,16 @@ def snf(mat, ncols=None):
     # the diagonal, so the rows from t on hold columns from t on only
     t = 0
     size = min(m, n)
-    while t < size:
+    stop = size if rank_bound is None else min(size, rank_bound)
+    while t < stop:
+        log.append([])
         # the first entry of least nonzero size in row-major order; no
         # entry beats a unit, so the scan stops at the first row with one
         best = None
         pivot = None
         for i in range(t, m):
+            if i == len(rows):
+                enter()
             if rows[i]:
                 w, j = min((abs(x), j) for j, x in rows[i].items())
                 if best is None or w < best:
@@ -195,6 +287,9 @@ def snf(mat, ncols=None):
             row_swap(t, pivot[0])
         if pivot[1] != t:
             col_swap(t, pivot[1])
+        if len(rows) < m:
+            # a unit, since the scan stopped early: kept for late rows
+            pivots.append((rows[t][t], {label[k]: x for k, x in rows[t].items()}))
         while True:
             # an operation on (i, t) or (t, j) leaves the entries of the
             # later rows in column t, and of row t in the later columns,
@@ -230,6 +325,17 @@ def snf(mat, ncols=None):
             row_neg(t)
         t += 1
 
-    diag = [rows[i].get(i, 0) for i in range(size)]
+    if rank_bound is None or t < rank_bound:
+        while len(rows) < m:
+            enter()
+    elif any(rows[t:]):
+        raise ValueError("rank above rank_bound %d" % rank_bound)
+    row_ops = None
+    if len(rows) == m:
+        row_ops = []
+        for s, ops in enumerate(log):
+            row_ops += ops
+            if s in negated:
+                row_ops.append(("neg", s, 0, 0))
+    diag = [rows[i][i] for i in range(t)] + [0] * (size - t)
     return SNFResult(diag, transpose(vt), v_inv, row_ops, m)
-

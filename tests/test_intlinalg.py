@@ -5,7 +5,7 @@ import pytest
 from knotquiver.algebra import alexander_cyclic, builtin, core_cyclic
 from knotquiver import cohomology
 from knotquiver.cohomology import boundary_matrices
-from knotquiver.intlinalg import SNFResult, identity, mat_mul, snf, transpose
+from knotquiver.intlinalg import SNFResult, identity, mat_mul, rank_mod, snf, transpose
 
 
 # reference helpers, also used by test_cohomology.py; solve and
@@ -306,6 +306,70 @@ def test_snf_of_sparse_coboundary_rows_matches_dense_rows(name):
     if not any(rows):
         assert res.diag == [0] * min(len(rows), cx.npairs)
         assert res.v == res.v_inv == identity(cx.npairs) and res.row_ops == []
+
+
+def planted_rank_matrix(rng, m, n, r):
+    """B @ C with B m x r and C r x n, entries in {0, +-1}: rank at most r."""
+    b = [[rng.choice((0, 0, 1, -1)) for _ in range(r)] for _ in range(m)]
+    c = [[rng.choice((0, 0, 1, -1)) for _ in range(n)] for _ in range(r)]
+    return mat_mul(b, c) if r else [[0] * n for _ in range(m)]
+
+
+def test_snf_with_exact_rank_bound_matches_reference():
+    # tall matrices of planted rank, as d3^T is tall; the bound is the
+    # exact rank, so the elimination stops before the rows past the
+    # pivots' are brought in whenever the pivots come early
+    rng = random.Random(29)
+    stopped = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 16), rng.randint(1, 8)
+        mat = planted_rank_matrix(rng, m, n, rng.randint(0, 4))
+        ref = reference_snf(mat)
+        for rows, ncols in ((mat, None), ([{j: x for j, x in enumerate(row) if x}
+                                           for row in mat], n)):
+            res = snf(rows, ncols, ref.rank)
+            assert (res.diag, res.v, res.v_inv) == (ref.diag, ref.v, ref.v_inv)
+            assert res.row_ops in (None, ref.row_ops)
+            stopped += res.row_ops is None
+    assert stopped >= 100, stopped
+
+
+def test_snf_with_loose_rank_bound_is_complete():
+    rng = random.Random(31)
+    for _ in range(200):
+        m, n = rng.randint(1, 16), rng.randint(1, 8)
+        mat = planted_rank_matrix(rng, m, n, rng.randint(0, 4))
+        ref = reference_snf(mat)
+        res = snf(mat, None, ref.rank + rng.randint(1, 3))
+        assert_same_results(res, ref)
+        assert res.u == ref.u and res.u_inv == ref.u_inv
+
+
+def test_snf_stopped_at_its_bound_refuses_the_row_transform():
+    mat = [[1, 0], [0, 1], [1, 1], [1, -1]]
+    res = snf(mat, None, 2)
+    assert res.diag == [1, 1] and res.row_ops is None
+    for read in (lambda: res.u, lambda: res.u_inv, lambda: res.apply_u([1, 0, 0, 0])):
+        with pytest.raises(ValueError, match="rank bound"):
+            read()
+    # a bound that lets the elimination bring in every row keeps it all
+    assert_same_results(snf(mat, None, 3), reference_snf(mat))
+
+
+def test_snf_rejects_a_bound_below_the_rank_it_sees():
+    # the scan brings in both rows (no unit), and the second is left
+    # nonzero after one pivot
+    with pytest.raises(ValueError, match="rank above rank_bound 1"):
+        snf([[2, 0], [0, 2]], None, 1)
+
+
+def test_rank_mod_matches_reference():
+    rng = random.Random(37)
+    for _ in range(100):
+        mat = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), -3, 3)
+        for q in (2, 3, 5, 2 ** 61 - 1):
+            assert rank_mod(mat, q) == rank_mod_prime(mat, q)
+    assert rank_mod([], 7) == 0
 
 
 def solve_through_u(res, rhs):
