@@ -1,6 +1,9 @@
+import hashlib
+import random
+
 import pytest
 
-from knotquiver.construct import braid_closure
+from knotquiver import braid_closure
 from knotquiver.diagram import (
     Crossing,
     LinkDiagram,
@@ -144,3 +147,39 @@ def test_gauss_string_round_trip():
         assert sorted(c.sign for c in d2.crossings) == sorted(c.sign for c in d.crossings)
         assert [len(c) for c in d2.components()] == [len(c) for c in d.components()]
         assert gauss_string(d2) == gauss_string(d)
+
+
+# sha256 of braid_closure's PD string and name, or its error text, on
+# seeded words; recorded before braid_closure moved from its own module
+# into diagram.py.  Any change to its labels, signs, names or messages
+# changes it.
+GOLDEN_BRAID_WORDS = 3000
+GOLDEN_BRAID_DIGEST = "d6fff642cc3544779bffa886230b2afb3ca24e00760caf741741d25a3b1ccf3d"
+
+
+def golden_braid_words(rng):
+    for _ in range(GOLDEN_BRAID_WORDS):
+        k = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, k - 1) for _ in range(rng.randint(0, 20))]
+        if word and rng.random() < 0.05:
+            # a zero or out-of-range letter, which must be rejected
+            word[rng.randrange(len(word))] = rng.choice((0, k, -k))
+        strands = k if rng.random() < 0.5 else None
+        name = "w%d" % rng.randint(0, 99) if rng.random() < 0.2 else None
+        yield word, strands, name
+
+
+def golden_braid_digest():
+    h = hashlib.sha256()
+    for word, strands, name in golden_braid_words(random.Random(16)):
+        try:
+            d = braid_closure(word, strands=strands, name=name)
+            line = "%s|%s" % (pd_string(d), d.name)
+        except ValidationError as err:
+            line = "error: %s" % err
+        h.update(("%r %r %r -> %s\n" % (word, strands, name, line)).encode())
+    return h.hexdigest()
+
+
+def test_braid_closure_matches_golden_digest():
+    assert golden_braid_digest() == GOLDEN_BRAID_DIGEST
