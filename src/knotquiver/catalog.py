@@ -42,12 +42,8 @@ def get_diagram(name):
 
     Raises KeyError for names not in the table.
     """
-    for entry in load_catalog():
-        if entry["name"] == name:
-            if entry["format"] == "pd":
-                return parse_pd(entry["code"], name=name)
-            return parse_gauss(entry["code"], name=name)
-    raise KeyError(name)
+    fmt, code = get_code(name)
+    return (parse_pd if fmt == "pd" else parse_gauss)(code, name=name)
 
 
 def get_code(name):

@@ -24,6 +24,16 @@ Gauss codes: tokens O<k><sign> / U<k><sign> read around each component,
 components separated by ';'.  Token i of a component sits between
 semiarc i-1 (incoming) and semiarc i (outgoing).  Each crossing number k
 must occur exactly once as O and once as U, with equal signs.
+
+Braid closures
+--------------
+
+braid_closure([1, -2, 1, -2]) closes a braid word on k strands: letter
++i crosses strand i under strand i+1 positively, -i strand i+1 under
+strand i negatively.  Each letter takes the two labels at its positions
+and hands out two fresh ones; closing identifies the labels at the
+bottom with those at the top, and the labels are then compressed like a
+PD string's.
 """
 
 import re
@@ -134,13 +144,11 @@ def validate(diagram):
 
 
 def _compress_labels(raw_crossings, name):
-    order = []
     seen = {}
     for sign, a, b, c, d in raw_crossings:
         for label in (a, b, c, d):
             if label not in seen:
-                seen[label] = len(order)
-                order.append(label)
+                seen[label] = len(seen)
     out = [
         Crossing(sign, seen[a], seen[b], seen[c], seen[d])
         for sign, a, b, c, d in raw_crossings
@@ -171,6 +179,43 @@ def parse_pd(text, name=None):
     if not raw:
         raise ValidationError("empty PD string")
     return _compress_labels(raw, name)
+
+
+def braid_closure(word, strands=None, name=None):
+    """Close a braid word, e.g. [1, 1] for the Hopf link.
+
+    Letters are nonzero ints: +i crosses strand i under strand i+1 with
+    positive sign, -i crosses strand i+1 under strand i with negative
+    sign.  Every strand must take part in at least one crossing, else
+    the closure would have a split unknot component.
+    """
+    if not word:
+        raise ValidationError("empty braid word")
+    k = strands or (max(abs(x) for x in word) + 1)
+    if any(x == 0 or abs(x) >= k for x in word):
+        raise ValidationError("braid letters must be nonzero and below strand count")
+    if set(range(1, k)) - {abs(x) for x in word}:
+        raise ValidationError("unused strand position: closure would be split")
+    current = list(range(k))  # semiarc label now occupying each position
+    fresh = k
+    raw = []
+    for letter in word:
+        i = abs(letter) - 1
+        a, b = current[i], current[i + 1]
+        out1, out2 = fresh, fresh + 1
+        fresh += 2
+        if letter > 0:
+            # position i dives under position i+1, the strands swap places
+            raw.append((1, a, b, out1, out2))
+            current[i], current[i + 1] = out2, out1
+        else:
+            raw.append((-1, b, a, out1, out2))
+            current[i], current[i + 1] = out1, out2
+    # closing the braid identifies each final label with its initial one
+    relabel = {current[p]: p for p in range(k)}
+    closed = [(sign, *(relabel.get(s, s) for s in arcs)) for sign, *arcs in raw]
+    word_tag = "".join(("+" if x > 0 else "-") + str(abs(x)) for x in word)
+    return _compress_labels(closed, name or "braid" + word_tag)
 
 
 def pd_string(diagram):

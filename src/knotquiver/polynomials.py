@@ -118,15 +118,8 @@ class GroupExponentPolynomial:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __bool__(self):
         return bool(self.terms)
-
-    def mass(self):
-        """Sum of all coefficients, i.e. the value at every variable = 1."""
-        return sum(self.terms.values())
 
     def render(self):
         if not self.terms:

@@ -231,11 +231,9 @@ def quiver_isomorphic(q1, q2):
     used = [False] * n
 
     def consistent(i, j):
+        # i and j share a signature, so their arrows carry equal matrices
         for k in range(len(t1)):
-            tgt1, mat1 = t1[k][i]
-            tgt2, mat2 = t2[k][j]
-            if mat1 != mat2:
-                return False
+            tgt1, tgt2 = t1[k][i][0], t2[k][j][0]
             if match[tgt1] is not None and match[tgt1] != tgt2:
                 return False
         return True

@@ -16,10 +16,10 @@ import pytest
 from knotquiver.catalog import catalog_names, get_code, get_diagram, load_catalog
 from knotquiver.homset import counting_invariant
 from knotquiver.algebra import swap3
-from knotquiver.construct import braid_closure
 from knotquiver.diagram import (
     Crossing,
     LinkDiagram,
+    braid_closure,
     gauss_string,
     mirror,
     r1_kink,

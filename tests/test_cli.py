@@ -136,6 +136,23 @@ def test_cocycle_invariant_state_sum(capsys):
     assert "phi_1: 8+8q" in out
 
 
+def test_cocycle_invariant_json(capsys):
+    code, out, _ = run(
+        capsys, "cocycle-invariant", "--link", "L4a1", "--quandle", "core-4",
+        "--group", "Z", "--cocycles", "[[1,0,1,0,0,0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0,0,0,0,0]]",
+        "--json",
+    )
+    assert code == 0
+    assert json.loads(out) == {"phi_1": "8+8q", "phi_2": "16"}
+
+
+def test_homset_without_link(capsys):
+    code, out, err = run(capsys, "homset", "--quandle", "swap3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: no link given (--link)\n"
+
+
 def test_quiver_json_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "quiver.json"
     code, _, _ = run(
@@ -214,6 +231,45 @@ def test_batch_rows(capsys):
     assert len(lines) == 2
     assert lines[0].startswith("L2a1\t5t^3-13t^2\t")
     assert lines[1].startswith("L4a1\t9t^3-13t^2-4t\t")
+
+
+def test_batch_json_rows_match_table_rows(capsys):
+    argv = ("batch", "--links", "L2a1,L4a1,L99z9", "--quandle", "swap3", "--group", "3",
+            "--cocycles", SWAP3_VECTORS, "--endos", "[[2,2,1]]")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    table = [line.split("\t") for line in out.strip().splitlines()]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    rows = json.loads(out)
+    keys = ("chi_edge", "pm_edge", "chi_path", "pm_path")
+    assert [[row["link"], *(row[k] for k in keys)] for row in rows[:2]] == table[:2]
+    # a name not in the catalog fails its own row, not the batch
+    assert rows[2] == {"link": "L99z9", "error": "error: 'L99z9'"}
+    assert table[2] == ["L99z9", "error: 'L99z9'"]
+
+
+def test_batch_limit_row(capsys):
+    code, out, _ = run(
+        capsys, "batch", "--links", "2.1", "--quandle", "core-4", "--group", "3",
+        "--cocycles", CORE4_COCYCLE, "--endos", "all-endomorphisms",
+    )
+    assert code == 0
+    assert out == (
+        "2.1\tlimit: maximal_paths: 500001 extension steps (budget 500000), "
+        "0 dead ends, 0 maximal so far, 64 edges\n"
+    )
+
+
+def test_batch_classical_selects_the_l_named_links(capsys):
+    code, out, _ = run(
+        capsys, "batch", "--links", "classical", "--quandle", "swap3", "--group", "3",
+        "--cocycles", SWAP3_VECTORS, "--endos", "[[2,2,1]]",
+    )
+    assert code == 0
+    names = [line.split("\t")[0] for line in out.strip().splitlines()]
+    assert names == [n for n in catalog_names() if n.startswith("L")]
+    assert "3_1" not in names and "4_1" not in names
 
 
 def test_batch_empty_subset(capsys):

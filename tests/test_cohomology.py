@@ -446,7 +446,7 @@ def test_triple_basis_shape():
 
 
 def test_cocycle_invariant_render():
-    from knotquiver.construct import braid_closure
+    from knotquiver.diagram import braid_closure
 
     tref = braid_closure([1, 1, 1])
     bq = core_cyclic(3)
@@ -461,13 +461,12 @@ def test_cocycle_invariant_render():
 def test_coloring_chains_are_cycles():
     # chain vectors of colorings lie in the kernel of the 2-boundary, so
     # coboundary functionals evaluate to zero on every coloring
-    from knotquiver.construct import braid_closure, pretzel_link
-    from knotquiver.diagram import parse_gauss
+    from knotquiver.diagram import braid_closure, parse_gauss
 
     cases = [
         (braid_closure([1, 1, 1]), swap3()),
         (braid_closure([1, -2, 1, -2]), core_cyclic(5)),
-        (pretzel_link([2, 2, 2]), core_cyclic(4)),
+        (braid_closure([1, 1, 2, 2, 1, 1]), core_cyclic(4)),
         (parse_gauss("O1+ O2+ U1+ U2+"), constant_action_biquandle_z2()),
     ]
     for d, bq in cases:

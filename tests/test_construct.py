@@ -1,8 +1,7 @@
 import pytest
 
-from knotquiver.algebra import core_cyclic, swap3
-from knotquiver.construct import braid_closure, orient, pretzel_link, rational_link
-from knotquiver.diagram import ValidationError, validate
+from knotquiver.algebra import core_cyclic
+from knotquiver.diagram import ValidationError, braid_closure, validate
 from knotquiver.homset import counting_invariant
 
 
@@ -25,79 +24,6 @@ def test_braid_closure_rejects_bad_words():
     with pytest.raises(ValidationError):
         # strand 3 never crosses: split closure
         braid_closure([1, 1], strands=3)
-
-
-def test_orient_rejects_bad_tuples():
-    with pytest.raises(ValidationError):
-        orient([(0, 1, 2)])
-    with pytest.raises(ValidationError):
-        orient([(0, 1, 2, 3)])  # every edge needs two ends
-
-
-def test_rational_hopf_matches_braid():
-    r = rational_link([2])
-    assert len(r.crossings) == 2
-    assert len(r.components()) == 2
-    assert abs(r.writhe) == 2
-    b = braid_closure([1, 1])
-    for alg in (core_cyclic(2), core_cyclic(3), core_cyclic(5), swap3()):
-        assert counting_invariant(r, alg) == counting_invariant(b, alg)
-
-
-def test_rational_torus_link_matches_braid():
-    r = rational_link([6])
-    b = braid_closure([1] * 6)
-    assert len(r.crossings) == 6
-    assert len(r.components()) == 2
-    for alg in (core_cyclic(2), core_cyclic(3), core_cyclic(4), swap3()):
-        assert counting_invariant(r, alg) == counting_invariant(b, alg)
-
-
-def test_rational_known_coloring_counts():
-    # 3-coloring counts detect 3 | determinant
-    hopf = rational_link([2])  # determinant 2
-    assert counting_invariant(hopf, core_cyclic(3)) == 3
-    trefoilish = rational_link([3])  # determinant 3
-    assert counting_invariant(trefoilish, core_cyclic(3)) == 9
-    assert len(trefoilish.components()) == 1
-
-
-def test_rational_multi_group_shapes():
-    # twist groups apply left to right, so a standard continued fraction
-    # [c1, c2, ..., ck] with k odd is passed reversed
-    w = rational_link([2, 1, 2])  # fraction 8/3
-    assert len(w.crossings) == 5
-    assert len(w.components()) == 2
-    v = rational_link([1, 2, 3])  # fraction 10/3
-    assert len(v.crossings) == 6
-    assert len(v.components()) == 2
-    u = rational_link([2, 2, 2])  # fraction 12/5
-    assert len(u.crossings) == 6
-    assert len(u.components()) == 2
-    f8 = rational_link([2, 1, 1])  # fraction 5/3
-    assert len(f8.components()) == 1
-    assert counting_invariant(f8, core_cyclic(5)) == 25
-
-
-def test_rational_rejects_degenerate():
-    with pytest.raises(ValidationError):
-        rational_link([])
-    with pytest.raises(ValidationError):
-        rational_link([0, 2])
-
-
-def test_pretzel_links():
-    neck = pretzel_link([2, 2, 2])
-    assert len(neck.crossings) == 6
-    assert len(neck.components()) == 3
-    tref = pretzel_link([1, 1, 1])
-    assert len(tref.components()) == 1
-    assert counting_invariant(tref, core_cyclic(3)) == 9
-    mid = pretzel_link([2, 3, 2])
-    assert len(mid.crossings) == 7
-    assert len(mid.components()) == 2
-    with pytest.raises(ValidationError):
-        pretzel_link([2, 0, 2])
 
 
 def test_figure_eight_counts():

@@ -6,10 +6,10 @@ import pytest
 from knotquiver import homset
 from knotquiver.algebra import Biquandle, builtin, constant_action_biquandle_z2, core_cyclic, swap3
 from knotquiver.catalog import catalog_names, get_diagram
-from knotquiver.construct import braid_closure
 from knotquiver.diagram import (
     Crossing,
     LinkDiagram,
+    braid_closure,
     gauss_string,
     mirror,
     parse_gauss,

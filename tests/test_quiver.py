@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import pytest
 
 from knotquiver.algebra import (
@@ -7,8 +10,15 @@ from knotquiver.algebra import (
     swap3,
 )
 from knotquiver.cohomology import CoeffGroup
-from knotquiver.construct import braid_closure
-from knotquiver.diagram import Crossing, LinkDiagram, mirror, parse_gauss, r1_kink, r2_poke
+from knotquiver.diagram import (
+    Crossing,
+    LinkDiagram,
+    braid_closure,
+    mirror,
+    parse_gauss,
+    r1_kink,
+    r2_poke,
+)
 from knotquiver.polynomials import (
     char_poly,
     edge_char_polynomial,
@@ -199,22 +209,51 @@ def test_virtual_mirror_quiver_differs():
     assert not quiver_isomorphic(q, qm)
 
 
+def identity_quiver(arrows, maps=1):
+    """Two vertices with equal subspaces; arrows are (source, target, map
+    index) triples, each carrying the 2 x 2 identity matrix."""
+    identity = [[1, 0], [0, 1]]
+    return RepQuiver(
+        vertices=[(1,), (2,)], chains=[[0], [0]], subspaces=[(0,), (0,)],
+        edges=[(src, tgt, identity) for src, tgt, _ in arrows],
+        edge_endos=[k for _, _, k in arrows], endos=[(1, 2)] * maps, modulus=2,
+    )
+
+
+LOOPS = [(0, 0, 0), (1, 1, 0)]
+
+
 def test_isomorphism_checks_arrow_targets():
     # equal subspaces and matrices at every vertex, so only the check of
     # the completed bijection tells the two loops from the swap
-    def two_vertex(targets):
-        identity = [[1, 0], [0, 1]]
-        return RepQuiver(
-            vertices=[(1,), (2,)], chains=[[0], [0]], subspaces=[(0,), (0,)],
-            edges=[(src, tgt, identity) for src, tgt in enumerate(targets)],
-            edge_endos=[0, 0], endos=[(1, 2)], modulus=2,
-        )
-
-    loops, swap = two_vertex([0, 1]), two_vertex([1, 0])
+    loops, swap = identity_quiver(LOOPS), identity_quiver([(0, 1, 0), (1, 0, 0)])
     assert quiver_isomorphic(loops, loops)
     assert quiver_isomorphic(swap, swap)
     assert not quiver_isomorphic(loops, swap)
     assert not quiver_isomorphic(swap, loops)
+
+
+def test_isomorphism_rejects_mismatched_shapes():
+    loops = identity_quiver(LOOPS)
+    # equal arrows and matrices, so only the modulus tells these apart
+    assert not quiver_isomorphic(loops, replace(loops, modulus=3))
+    # an extra vertex without arrows
+    bigger = replace(
+        loops, vertices=loops.vertices + [(3,)], chains=loops.chains + [[0]],
+        subspaces=loops.subspaces + [(0,)],
+    )
+    assert not quiver_isomorphic(loops, bigger)
+    assert not quiver_isomorphic(bigger, loops)
+    # vertex 1 has no arrow for map 1: no coloring quiver looks like that,
+    # so it is not even isomorphic to itself
+    partial = identity_quiver(LOOPS + [(0, 1, 1)], maps=2)
+    assert not quiver_isomorphic(partial, partial)
+
+
+def test_isomorphism_rejects_two_arrows_for_one_map():
+    doubled = identity_quiver([(0, 0, 0), (0, 1, 0)])
+    with pytest.raises(ValueError, match="^vertex 0 has two arrows for map 0$"):
+        quiver_isomorphic(doubled, doubled)
 
 
 def test_moves_give_isomorphic_quivers():
@@ -247,6 +286,13 @@ def test_json_round_trip():
         path_matrix_polynomial,
     ):
         assert fn(q2).render() == fn(q).render()
+
+
+def test_json_rejects_a_matrix_of_the_wrong_size():
+    blob = json.loads(build_representation(ref_l4(), ref_data()).to_json())
+    blob["edges"][0]["matrix"].pop()
+    with pytest.raises(ValueError, match="^edge matrix has 8 entries, want 9$"):
+        RepQuiver.from_json(json.dumps(blob))
 
 
 def test_all_endomorphisms_quiver():
