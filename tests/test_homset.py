@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -295,6 +296,39 @@ def test_colorings_match_brute_force_on_small_diagrams():
         for name in SMALL_ALGEBRAS:
             bq = builtin(name)
             assert colorings(d, bq) == brute_force_colorings(d, bq), (gauss_string(d), name)
+
+
+# sha256 of the colorings below, recorded while each crossing still
+# fired as two separate derive steps; any change to the colorings, or to
+# their order, changes it
+GOLDEN_COLORING_ALGEBRAS = ("swap3", "flip2", "core-3", "core-5", "alexander-5-2", "trivial-3")
+GOLDEN_COLORING_DIAGRAMS = 200
+GOLDEN_COLORING_DIGEST = "e92249b631af16a1f80daeadd1419a1d2d5b5e75eab5dbddf52d6b101e1fec51"
+
+
+def golden_coloring_diagrams():
+    for link in catalog_names():
+        yield link, get_diagram(link)
+    rng = random.Random(17)
+    for i in range(GOLDEN_COLORING_DIAGRAMS):
+        yield "braid %d" % i, random_braid(rng)
+    rng = random.Random(18)
+    for i in range(GOLDEN_COLORING_DIAGRAMS):
+        yield "gauss %d" % i, random_gauss_knot(rng, 6)
+
+
+def golden_coloring_digest():
+    h = hashlib.sha256()
+    diagrams = list(golden_coloring_diagrams())
+    for name in GOLDEN_COLORING_ALGEBRAS:
+        bq = builtin(name)
+        for label, d in diagrams:
+            h.update(("%s %s %r\n" % (name, label, colorings(d, bq))).encode())
+    return h.hexdigest()
+
+
+def test_colorings_match_golden_digest():
+    assert golden_coloring_digest() == GOLDEN_COLORING_DIGEST
 
 
 def test_colorings_never_overwrite_a_known_semiarc():
