@@ -72,6 +72,9 @@ def load_algebra(spec):
         raise ValueError(str(exc.args[0]))
 
 
+NOT_IN_CATALOG = "link %r not in catalog; pass an inline code with --format"
+
+
 def load_link(args):
     name = args.link
     if name is None:
@@ -82,7 +85,7 @@ def load_link(args):
         return parse_pd(name)
     if args.format == "gauss":
         return parse_gauss(name)
-    raise ValueError("link %r not in catalog; pass an inline code with --format" % name)
+    raise ValueError(NOT_IN_CATALOG % name)
 
 
 def _int_lists(blob):
@@ -258,8 +261,11 @@ def cmd_batch(args):
     data = DataVector(bq, coeff, vectors, endos)
     keys = ("chi_edge", "pm_edge", "chi_path", "pm_path")
     rows = []
+    known = set(catalog_names())
     for name in _batch_subset(args.links):
         try:
+            if name not in known:
+                raise ValueError(NOT_IN_CATALOG % name)
             _, polys = four_polynomials(get_diagram(name), data)
             rows.append((name, polys, None))
         except LimitError as exc:

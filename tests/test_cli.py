@@ -245,8 +245,9 @@ def test_batch_json_rows_match_table_rows(capsys):
     keys = ("chi_edge", "pm_edge", "chi_path", "pm_path")
     assert [[row["link"], *(row[k] for k in keys)] for row in rows[:2]] == table[:2]
     # a name not in the catalog fails its own row, not the batch
-    assert rows[2] == {"link": "L99z9", "error": "error: 'L99z9'"}
-    assert table[2] == ["L99z9", "error: 'L99z9'"]
+    error = "error: link 'L99z9' not in catalog; pass an inline code with --format"
+    assert rows[2] == {"link": "L99z9", "error": error}
+    assert table[2] == ["L99z9", error]
 
 
 def test_batch_limit_row(capsys):

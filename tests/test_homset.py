@@ -335,13 +335,50 @@ def test_colorings_never_overwrite_a_known_semiarc():
     # L7a3 has crossings that fire with three of their four semiarcs
     # known; deriving both targets of the rule there would overwrite the
     # known one and hide its clash from the check, and under core-3 turn
-    # 3 colorings into 81
+    # 3 colorings into 81.  L7a3 has no kink, so each single derive step
+    # in its plan is such a crossing
     d = get_diagram("L7a3")
     assert any(check for _, _, check in _plan(d))
-    bq = core_cyclic(3)
-    cols = colorings(d, bq)
-    assert len(cols) == 3
-    assert cols == reference_colorings(d, bq)
+    assert any(s == t for _, derive, _ in _plan(d) for _, _, s, t, _, _ in derive)
+    assert len(colorings(d, core_cyclic(3))) == 3
+    for name in ORACLE_ALGEBRAS:
+        bq = builtin(name)
+        assert colorings(d, bq) == reference_colorings(d, bq), name
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_lookup_tables_match_the_operations(name):
+    # every (x, y): each first table is one operation, and the second
+    # table of each fused firing is its two single lookups in a row
+    bq = builtin(name)
+    size = bq.n + 1
+    tables = homset._tables(bq)
+    for x in bq.elements:
+        for y in bq.elements:
+            under, over, under_inv, over_inv, inv_1, inv_2, swap, u_oi, o_ui = (
+                table[x * size + y] for table in tables)
+            assert (under, over) == (bq.under(x, y), bq.over(x, y))
+            assert (under_inv, over_inv) == (bq.under_inv(x, y), bq.over_inv(x, y))
+            assert (inv_1, inv_2) == bq.through_inv(x, y)
+            assert swap == bq.over(y, x)
+            assert u_oi == bq.under(y, bq.over_inv(x, y))
+            assert o_ui == bq.over(y, bq.under_inv(x, y))
+
+
+def test_colorings_match_reference_on_r1_kink_closures():
+    # a kink's loop joins an in and an out semiarc of one crossing; when
+    # the crossing fires from its other two, both targets are the loop,
+    # which is derived once and then checked against the second lookup
+    rng = random.Random(12)
+    coincident = 0
+    for _ in range(40):
+        base = random_braid(rng, 8)
+        d = r1_kink(base, rng.randrange(base.n_semiarcs), sign=rng.choice((1, -1)),
+                    over_first=rng.random() < 0.5)
+        coincident += any(t in (p, q) for _, _, check in _plan(d) for _, t, p, q in check)
+        bq = builtin(rng.choice(ORACLE_ALGEBRAS))
+        assert colorings(d, bq) == reference_colorings(d, bq), (gauss_string(d), bq)
+    assert coincident == 40
 
 
 def test_plan_derives_each_semiarc_once_from_known_ones():
@@ -349,14 +386,31 @@ def test_plan_derives_each_semiarc_once_from_known_ones():
     diagrams = [get_diagram(link) for link in catalog_names()]
     diagrams += [random_braid(rng) for _ in range(50)]
     diagrams += [random_gauss_knot(rng, 6) for _ in range(50)]
+    fused_tables = {
+        (homset.UNDER, homset.OVER_SWAP),
+        (homset.THROUGH_INV_1, homset.THROUGH_INV_2),
+        (homset.OVER_INV, homset.UNDER_AT_OVER_INV),
+        (homset.UNDER_INV, homset.OVER_AT_UNDER_INV),
+    }
     for d in diagrams:
         known = set()
+        fused = single = checks = 0
         for free, derive, check in _plan(d):
             assert free == min(set(range(d.n_semiarcs)) - known)
             known.add(free)
-            for _, target, p, q in derive:
-                assert p in known and q in known and target not in known
-                known.add(target)
+            for first, second, s, t, p, q in derive:
+                assert p in known and q in known and not {s, t} & known
+                if s == t:
+                    assert first == second
+                    single += 1
+                else:
+                    assert (first, second) in fused_tables
+                    fused += 1
+                known |= {s, t}
             for _, target, p, q in check:
                 assert {target, p, q} <= known
+            checks += len(check)
         assert known == set(range(d.n_semiarcs))
+        # a crossing fires once: as one fused step, or as two single
+        # lookups of which each is a derive step or a check
+        assert 2 * fused + single + checks == 2 * len(d.crossings)
