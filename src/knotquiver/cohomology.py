@@ -258,6 +258,16 @@ def coboundary_generators(bq, coeff):
     return gens
 
 
+def _coboundary_coords(bq, coeff):
+    """X, the matrix _h2 factors: column k holds the cocycle_lattice
+    coordinates of coboundary generator k, as {column: value} rows, and
+    its column count."""
+    coords = _lattice_coords(bq, coeff, coboundary_generators(bq, coeff))
+    if None in coords:
+        raise ValueError("generator outside the spanned lattice")
+    return [{k: x for k, x in enumerate(row) if x} for row in transpose(coords)], len(coords)
+
+
 def _h2(bq, coeff):
     """H^2 as lattice / coboundaries, built once per Biquandle instance
     and modulus: (factors, res, generators).  res is the Smith form
@@ -267,10 +277,7 @@ def _h2(bq, coeff):
     memo = _complex(bq).h2
     if coeff.modulus not in memo:
         lat = cocycle_lattice(bq, coeff)
-        coords = _lattice_coords(bq, coeff, coboundary_generators(bq, coeff))
-        if None in coords:
-            raise ValueError("generator outside the spanned lattice")
-        res = snf(transpose(coords))
+        res = snf(*_coboundary_coords(bq, coeff))
         factors = res.diag + [0] * (len(lat) - len(res.diag))
         reps = mat_mul(transpose(res.u_inv), lat)
         gens = [(f, [coeff.reduce(x) for x in rep])

@@ -645,6 +645,18 @@ def test_h2_generators_match_reference(name, m):
     assert h2_generators(bq, coeff) == reference_h2_generators(bq, coeff)
 
 
+@pytest.mark.parametrize("name,m", H2_CASES)
+def test_h2_factors_the_lattice_coordinates_of_the_coboundaries(name, m):
+    bq, coeff = builtin(name), CoeffGroup(m)
+    gens = coboundary_generators(bq, coeff)
+    dense = transpose(cohomology._lattice_coords(bq, coeff, gens))
+    rows, ncols = cohomology._coboundary_coords(bq, coeff)
+    assert ncols == len(gens)
+    assert rows == sparse_rows(dense)
+    res, ref = cohomology._h2(bq, coeff)[1], snf(dense)
+    assert (res.diag, res.row_ops) == (ref.diag, ref.row_ops)
+
+
 @pytest.mark.parametrize("name,m", MODULAR_CASES + [
     (name, 0) for name in ("swap3", "flip2", "trivial-2", "core-4", "core-6")])
 def test_classes_match_reference(name, m):

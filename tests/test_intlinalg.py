@@ -18,10 +18,13 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def reference_snf(mat):
+def reference_snf(mat, cancelled=None):
     """The dense Smith normal form that snf replaced: every row and
     column operation walks whole rows and columns.  snf must apply the
-    same operations in the same order and return the same result."""
+    same operations in the same order and return the same result.
+
+    cancelled, when given, is a list that gets one entry per column
+    operation that turns a nonzero entry of v or v_inv into zero."""
     m = len(mat)
     n = len(mat[0]) if m else 0
     a = [row[:] for row in mat]
@@ -51,11 +54,16 @@ def reference_snf(mat):
 
     def col_add(i, j, c):
         # col_i += c * col_j
+        before = [r[i] for r in v], v_inv[j]
         for r in a:
             r[i] += c * r[j]
         for r in v:
             r[i] += c * r[j]
         v_inv[j] = [x - c * y for x, y in zip(v_inv[j], v_inv[i])]
+        if cancelled is not None:
+            after = [r[i] for r in v], v_inv[j]
+            if any(x and not y for old, new in zip(before, after) for x, y in zip(old, new)):
+                cancelled.append((i, j, c))
 
     def col_neg(i):
         for r in a:
@@ -274,6 +282,24 @@ def test_snf_matches_dense_reference_random():
         n = rng.randint(1, 8)
         assert_same_smith_form(
             [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(m)])
+
+
+def test_snf_matches_reference_where_column_operations_cancel_transform_entries():
+    # v and v_inv are held sparse, so an entry that a column operation
+    # cancels must leave them; entries in {0, +-2, 3, 4} make non-unit
+    # pivots, whose repeated column operations cancel entries
+    rng = random.Random(43)
+    cancelling = 0
+    for _ in range(200):
+        m, n = rng.randint(2, 6), rng.randint(2, 6)
+        mat = [[rng.choice((0, 0, 0, 0, 2, 3, -2, 4)) for _ in range(n)] for _ in range(m)]
+        cancelled = []
+        ref = reference_snf(mat, cancelled)
+        for res in (snf(mat), snf([{j: x for j, x in enumerate(row) if x} for row in mat], n)):
+            assert_same_results(res, ref)
+            assert mat_mul(res.v, res.v_inv) == identity(n)
+        cancelling += bool(cancelled)
+    assert cancelling >= 40, cancelling
 
 
 @pytest.mark.parametrize("name", [
