@@ -8,6 +8,8 @@ case over(x, y) = x.
 Tables are row-major: under_table[x-1][y-1] = under(x, y).
 """
 
+from functools import cached_property
+
 
 def check_axioms(under, over):
     """Return a list of human-readable axiom violations (empty if valid)."""
@@ -63,6 +65,16 @@ def check_axioms(under, over):
     return problems
 
 
+def _column_inverse(table):
+    # inv[z - 1][y - 1] = x where table[x - 1][y - 1] = z
+    n = len(table)
+    inv = [[0] * n for _ in range(n)]
+    for x, row in enumerate(table, 1):
+        for y, z in enumerate(row):
+            inv[z - 1][y] = x
+    return inv
+
+
 class Biquandle:
     """A finite biquandle; validates its axioms on construction."""
 
@@ -75,17 +87,21 @@ class Biquandle:
             if problems:
                 extra = "" if len(problems) == 1 else " (and %d more)" % (len(problems) - 1)
                 raise ValueError("not a biquandle: %s%s" % (problems[0], extra))
-        n = len(self.under_table)
-        self._under_inv = [[0] * n for _ in range(n)]
-        self._over_inv = [[0] * n for _ in range(n)]
-        for y in range(1, n + 1):
-            for x in range(1, n + 1):
-                self._under_inv[self.under_table[x - 1][y - 1] - 1][y - 1] = x
-                self._over_inv[self.over_table[x - 1][y - 1] - 1][y - 1] = x
-        self._through_inv = {}
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                self._through_inv[self.through(a, b)] = (a, b)
+
+    # the inverse tables are built on first use: the coloring search
+    # reads the operation tables, so most loads never need them
+
+    @cached_property
+    def _under_inv(self):
+        return _column_inverse(self.under_table)
+
+    @cached_property
+    def _over_inv(self):
+        return _column_inverse(self.over_table)
+
+    @cached_property
+    def _through_inv(self):
+        return {self.through(a, b): (a, b) for a in self.elements for b in self.elements}
 
     @property
     def n(self):

@@ -45,7 +45,7 @@ from functools import cached_property
 from math import gcd
 
 from .homset import chain_vector, colorings, pair_basis
-from .intlinalg import mat_mul, rank_mod, snf, transpose
+from .intlinalg import rank_mod, snf
 from .polynomials import GroupExponentPolynomial
 
 # the prime for the rank of d2 that bounds the rank of d3^T
@@ -209,8 +209,16 @@ def check_length(bq, vec):
 
 def _scales(res, m):
     # column i of v enters the lattice over Z_m scaled by m / gcd(d_i, m)
-    diag = res.diag + [0] * (len(res.v) - len(res.diag))
+    diag = res.diag + [0] * (len(res.v_cols) - len(res.diag))
     return [m // gcd(d, m) for d in diag]
+
+
+def _lattice_basis(res, m):
+    """The cocycle_lattice basis as (scale, column of v) pairs, each
+    column a {row: value} dict."""
+    if m == 0:
+        return [(1, col) for col in res.v_cols[res.rank:]]
+    return list(zip(_scales(res, m), res.v_cols))
 
 
 def cocycle_lattice(bq, coeff):
@@ -223,11 +231,13 @@ def cocycle_lattice(bq, coeff):
     must vanish below the rank and is free past it.
     """
     res = _complex(bq).d3t_snf
-    cols = transpose(res.v)
-    m = coeff.modulus
-    if m == 0:
-        return cols[res.rank:]
-    return [[x * s for x in col] for s, col in zip(_scales(res, m), cols)]
+    out = []
+    for s, col in _lattice_basis(res, coeff.modulus):
+        vec = [0] * len(res.v_cols)
+        for r, x in col.items():
+            vec[r] = s * x
+        out.append(vec)
+    return out
 
 
 def _lattice_coords(bq, coeff, vectors):
@@ -238,8 +248,8 @@ def _lattice_coords(bq, coeff, vectors):
     m = coeff.modulus
     scales = _scales(res, m) if m else None
     out = []
-    # row r of the product is v^-1 @ vectors[r]
-    for y in mat_mul(vectors, transpose(res.v_inv)):
+    for vec in vectors:
+        y = [sum(x * vec[k] for k, x in row.items()) for row in res.v_inv_rows]
         if m == 0:
             out.append(None if any(y[:res.rank]) else y[res.rank:])
         else:
@@ -261,29 +271,59 @@ def coboundary_generators(bq, coeff):
 def _coboundary_coords(bq, coeff):
     """X, the matrix _h2 factors: column k holds the cocycle_lattice
     coordinates of coboundary generator k, as {column: value} rows, and
-    its column count."""
-    coords = _lattice_coords(bq, coeff, coboundary_generators(bq, coeff))
+    its column count.  Only the n rows of d2 go through _lattice_coords:
+    over Z_m, generator n + j is m * e_j, whose coordinate i is
+    m * v^-1[i][j] / (m / gcd(d_i, m)) = gcd(d_i, m) * v^-1[i][j]."""
+    cx = _complex(bq)
+    res = cx.d3t_snf
+    m = coeff.modulus
+    coords = _lattice_coords(bq, coeff, cx.d2)
     if None in coords:
         raise ValueError("generator outside the spanned lattice")
-    return [{k: x for k, x in enumerate(row) if x} for row in transpose(coords)], len(coords)
+    rows = [{} for _ in _lattice_basis(res, m)]
+    for k, y in enumerate(coords):
+        for i, x in enumerate(y):
+            if x:
+                rows[i][k] = x
+    n = len(coords)
+    if m == 0:
+        return rows, n
+    for row, s, v_inv_row in zip(rows, _scales(res, m), res.v_inv_rows):
+        g = m // s
+        row.update((n + j, g * x) for j, x in v_inv_row.items())
+    return rows, n + len(rows)
 
 
 def _h2(bq, coeff):
     """H^2 as lattice / coboundaries, built once per Biquandle instance
     and modulus: (factors, res, generators).  res is the Smith form
-    u * X * w of the coboundary generators' lattice coordinates X;
-    factors pads its diagonal with 0 (free summands) to the lattice
-    rank, and column i of (lattice basis) * u^-1 generates summand i."""
+    u * X * w of the coboundary generators' lattice coordinates X
+    (_coboundary_coords); factors pads its diagonal with 0 (free
+    summands) to the lattice rank, and column i of (lattice basis) *
+    u^-1 generates summand i.  Only the summands of order other than 1
+    are built, each from column i of u^-1 (u^-1 applied to e_i, without
+    forming u^-1) and the sparse columns of v; w is never read."""
     memo = _complex(bq).h2
-    if coeff.modulus not in memo:
-        lat = cocycle_lattice(bq, coeff)
+    m = coeff.modulus
+    if m not in memo:
+        cx = _complex(bq)
+        basis = _lattice_basis(cx.d3t_snf, m)
         res = snf(*_coboundary_coords(bq, coeff))
-        factors = res.diag + [0] * (len(lat) - len(res.diag))
-        reps = mat_mul(transpose(res.u_inv), lat)
-        gens = [(f, [coeff.reduce(x) for x in rep])
-                for f, rep in zip(factors, reps) if f != 1]
-        memo[coeff.modulus] = factors, res, gens
-    return memo[coeff.modulus]
+        factors = res.diag + [0] * (len(basis) - len(res.diag))
+        gens = []
+        for i, f in enumerate(factors):
+            if f == 1:
+                continue
+            unit = [0] * len(basis)
+            unit[i] = 1
+            rep = [0] * cx.npairs
+            for c, (s, col) in zip(res.apply_u_inv(unit), basis):
+                if c:
+                    for r, x in col.items():
+                        rep[r] += c * s * x
+            gens.append((f, [coeff.reduce(x) for x in rep]))
+        memo[m] = factors, res, gens
+    return memo[m]
 
 
 def h2_generators(bq, coeff):

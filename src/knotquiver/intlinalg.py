@@ -44,16 +44,54 @@ def _replay_rows(ops, rows):
     return rows
 
 
+def _replay_vec(ops, vec):
+    """Apply logged row operations, in order, to a vector (a copy)."""
+    x = list(vec)
+    for kind, i, j, c in ops:
+        if kind == "swap":
+            x[i], x[j] = x[j], x[i]
+        elif kind == "add":
+            x[i] += c * x[j]
+        else:
+            x[i] = -x[i]
+    return x
+
+
+def _dense(rows):
+    """Square dense rows from {index: value} rows."""
+    out = []
+    for row in rows:
+        dense = [0] * len(rows)
+        for k, x in row.items():
+            dense[k] = x
+        out.append(dense)
+    return out
+
+
+def _add_into(dst, src, c):
+    # dst += c * src for {index: value} dicts, c nonzero
+    for k, y in src.items():
+        x = dst.get(k, 0) + c * y
+        if x:
+            dst[k] = x
+        else:
+            del dst[k]
+
+
 class SNFResult:
     """u * mat * v is diagonal with entries diag, each dividing the next.
 
     The row operations are kept as a log in the order they were applied
     (("swap", i, j, 0), ("add", i, j, c) for row_i += c * row_j, and
     ("neg", i, 0, 0)).  u and u_inv are built from it on first access;
-    apply_u multiplies a vector by u without forming it.  A Smith form
-    that stopped at its rank bound keeps no log (row_ops is None): u,
-    u_inv and apply_u then raise ValueError instead of returning part
-    of u.
+    apply_u and apply_u_inv multiply a vector by u and u_inv without
+    forming them.  A Smith form that stopped at its rank bound keeps no
+    log (row_ops is None): u, u_inv, apply_u and apply_u_inv then raise
+    ValueError instead of returning part of u.
+
+    v and v_inv are dense.  snf builds its result with sparse(), from
+    the columns of v and the rows of v_inv as {index: value} dicts
+    (v_cols and v_inv_rows), and forms the dense ones on first access.
     """
 
     def __init__(self, diag, v, v_inv, row_ops, nrows):
@@ -62,6 +100,24 @@ class SNFResult:
         self.v_inv = v_inv
         self.row_ops = row_ops
         self.nrows = nrows
+
+    @classmethod
+    def sparse(cls, diag, v_cols, v_inv_rows, row_ops, nrows):
+        res = cls.__new__(cls)
+        res.diag = diag
+        res.v_cols = v_cols
+        res.v_inv_rows = v_inv_rows
+        res.row_ops = row_ops
+        res.nrows = nrows
+        return res
+
+    @cached_property
+    def v(self):
+        return transpose(_dense(self.v_cols))
+
+    @cached_property
+    def v_inv(self):
+        return _dense(self.v_inv_rows)
 
     @property
     def rank(self):
@@ -76,24 +132,22 @@ class SNFResult:
     def u(self):
         return _replay_rows(self._log(), identity(self.nrows))
 
+    def _inverse_log(self):
+        # u = E_k ... E_1, so u_inv = E_1^-1 ... E_k^-1: the inverse
+        # operations in reverse order
+        return [(kind, i, j, -c) for kind, i, j, c in reversed(self._log())]
+
     @cached_property
     def u_inv(self):
-        # u = E_k ... E_1, so u_inv = E_1^-1 ... E_k^-1: the inverse
-        # operations applied to the identity in reverse order
-        inverse = [(kind, i, j, -c) for kind, i, j, c in reversed(self._log())]
-        return _replay_rows(inverse, identity(self.nrows))
+        return _replay_rows(self._inverse_log(), identity(self.nrows))
 
     def apply_u(self, vec):
         """u @ vec."""
-        x = list(vec)
-        for kind, i, j, c in self._log():
-            if kind == "swap":
-                x[i], x[j] = x[j], x[i]
-            elif kind == "add":
-                x[i] += c * x[j]
-            else:
-                x[i] = -x[i]
-        return x
+        return _replay_vec(self._log(), vec)
+
+    def apply_u_inv(self, vec):
+        """u_inv @ vec."""
+        return _replay_vec(self._inverse_log(), vec)
 
 
 def rank_mod(mat, q):
@@ -162,8 +216,9 @@ def snf(mat, ncols=None, rank_bound=None):
     # label[k]: the original column now at position k; pos inverts it
     label = list(range(n))
     pos = list(range(n))
-    vt = identity(n)  # the columns of v, as rows
-    v_inv = identity(n)
+    # the columns of v and the rows of v_inv, {index: value} each
+    vt = [{k: 1} for k in range(n)]
+    v_inv = [{k: 1} for k in range(n)]
     log = []  # the row operations, one list per step
     negated = set()  # the steps that end with ("neg", t, 0, 0)
     pivots = []  # per step while rows are left out: (pivot, row by label)
@@ -257,8 +312,8 @@ def snf(mat, ncols=None, rank_bound=None):
             else:
                 del row[i]
                 ci.remove(r)
-        vt[i] = [x + c * y for x, y in zip(vt[i], vt[j])]
-        v_inv[j] = [x - c * y for x, y in zip(v_inv[j], v_inv[i])]
+        _add_into(vt[i], vt[j], c)
+        _add_into(v_inv[j], v_inv[i], -c)
 
     # rows and columns before t are done: their only nonzero entry is on
     # the diagonal, so the rows from t on hold columns from t on only
@@ -338,4 +393,4 @@ def snf(mat, ncols=None, rank_bound=None):
             if s in negated:
                 row_ops.append(("neg", s, 0, 0))
     diag = [rows[i][i] for i in range(t)] + [0] * (size - t)
-    return SNFResult(diag, transpose(vt), v_inv, row_ops, m)
+    return SNFResult.sparse(diag, vt, v_inv, row_ops, m)

@@ -218,6 +218,8 @@ def test_non_integer_entry_rejected(entry):
 
 def test_inverses_and_through_map():
     for bq in (core_cyclic(5), swap3(), constant_action_biquandle_z2()):
+        # the inverse tables are built on first use, not on load
+        assert not {"_under_inv", "_over_inv", "_through_inv"} & set(vars(bq))
         for x in bq.elements:
             for y in bq.elements:
                 assert bq.under(bq.under_inv(x, y), y) == x
