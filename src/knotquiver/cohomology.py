@@ -37,6 +37,10 @@ past the rank.  H^2 is the quotient of the lattice by the coboundaries
 (the rows of d2, plus m * Z^p over Z_m); the one Smith form of their
 coordinate matrix, u * X * w = diag, gives its invariant factors and
 generators, and the class of a cocycle with coordinates x is u * x.
+Only the rows of d2 are multiplied by v^-1 for X: the coordinates of
+m * e_j are read off column j of v^-1 (see _coboundary_coords).  v and
+v^-1 stay sparse throughout, and only the generators of order other
+than 1 are built.
 """
 
 import operator
@@ -108,8 +112,9 @@ class _Complex:
     The Smith form of d3^T is told that its rank is at most p - rank d2,
     with rank d2 over F_q (RANK_PRIME), at most its rank over Q.  The
     check below makes the bound sound: d2 @ d3 = 0 puts the image of d3
-    in the kernel of d2.  The result carries diag, v and v^-1, the only
-    parts the cohomology reads, but no u once it stops at the bound.
+    in the kernel of d2.  The result carries diag and the sparse columns
+    of v and rows of v^-1, the only parts the cohomology reads, but no u
+    once it stops at the bound.
 
     The slots of a terms entry are fixed: the first three pairs enter
     d3(x, y, z) with +1, the last three with -1,

@@ -32,18 +32,6 @@ def mat_mul(a, b):
     return out
 
 
-def _replay_rows(ops, rows):
-    """Apply logged row operations, in order, to a list of row lists."""
-    for kind, i, j, c in ops:
-        if kind == "swap":
-            rows[i], rows[j] = rows[j], rows[i]
-        elif kind == "add":
-            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-        else:
-            rows[i] = [-x for x in rows[i]]
-    return rows
-
-
 def _replay_vec(ops, vec):
     """Apply logged row operations, in order, to a vector (a copy)."""
     x = list(vec)
@@ -55,17 +43,6 @@ def _replay_vec(ops, vec):
         else:
             x[i] = -x[i]
     return x
-
-
-def _dense(rows):
-    """Square dense rows from {index: value} rows."""
-    out = []
-    for row in rows:
-        dense = [0] * len(rows)
-        for k, x in row.items():
-            dense[k] = x
-        out.append(dense)
-    return out
 
 
 def _add_into(dst, src, c):
@@ -113,11 +90,13 @@ class SNFResult:
 
     @cached_property
     def v(self):
-        return transpose(_dense(self.v_cols))
+        n = len(self.v_cols)
+        return [[col.get(r, 0) for col in self.v_cols] for r in range(n)]
 
     @cached_property
     def v_inv(self):
-        return _dense(self.v_inv_rows)
+        n = len(self.v_inv_rows)
+        return [[row.get(k, 0) for k in range(n)] for row in self.v_inv_rows]
 
     @property
     def rank(self):
@@ -130,7 +109,8 @@ class SNFResult:
 
     @cached_property
     def u(self):
-        return _replay_rows(self._log(), identity(self.nrows))
+        # column k of u is u @ e_k
+        return transpose([self.apply_u(e) for e in identity(self.nrows)])
 
     def _inverse_log(self):
         # u = E_k ... E_1, so u_inv = E_1^-1 ... E_k^-1: the inverse
@@ -139,7 +119,7 @@ class SNFResult:
 
     @cached_property
     def u_inv(self):
-        return _replay_rows(self._inverse_log(), identity(self.nrows))
+        return transpose([self.apply_u_inv(e) for e in identity(self.nrows)])
 
     def apply_u(self, vec):
         """u @ vec."""
@@ -182,7 +162,11 @@ def snf(mat, ncols=None, rank_bound=None):
     nonzero entries, plus the set of rows with a nonzero in each column.
     A row operation touches only the nonzero entries of the pivot row,
     and a column operation only the rows with a nonzero in the pivot
-    column (and v, v_inv).  The operations and their order are those of
+    column.  v and v_inv are held the same way, the columns of v and the
+    rows of v_inv as {index: value} dicts: a column operation touches
+    the nonzeros of one of each, and a column swap swaps two of each.
+    The result keeps them sparse and forms the dense v and v_inv on
+    first read (SNFResult).  The operations and their order are those of
     a dense elimination, so the output does not depend on the storage.
 
     A row enters the elimination only when the pivot scan first reaches
