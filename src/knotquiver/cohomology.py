@@ -18,15 +18,17 @@ and kept on the Biquandle instance: d2 as a dense matrix and d3 as six
 pair indices per triple, the three terms with +1 and then the three
 with -1 (see _Complex).  The cocycle test sums a cochain's entries at
 those indices.  Everything else comes from one integral Smith form
-u * d3^T * v = diag(d_i), computed on first use; only its input, d3^T
-as one {pair index: coefficient} dict per triple, is expanded from the
-indices (boundary_matrices expands the same rows to dense d2 and d3).
-The Smith form stops at a proven bound on the rank of d3^T: d2 @ d3
-vanishes, so rank d3 <= p - rank d2, and rank d2 is taken over F_q for
-a large prime q, which can only underestimate the rational rank.  On a
-connected quandle the bound is the rank (rational H^2 vanishes), and
-the factorization stops once its pivots are found, without bringing in
-the rows past them; u is then not kept, and nothing here reads it.
+u * d3^T * v = diag(d_i), computed on first use.  Its input, d3^T, is
+a sequence of {pair index: coefficient} rows, one per triple, and each
+row is expanded from its indices only when it is read, so the Smith
+form expands only the rows it brings in (boundary_matrices reads them
+all, to dense d2 and d3).  The Smith form stops at a proven bound on
+the rank of d3^T: d2 @ d3 vanishes, so rank d3 <= p - rank d2, and
+rank d2 is taken over F_q for a large prime q, which can only
+underestimate the rational rank.  On a connected quandle the bound is
+the rank (rational H^2 vanishes), and the factorization stops once its
+pivots are found, without bringing in the rows past them; u is then
+not kept, and nothing here reads it.
 This is the universal-coefficient view: the cocycles over Z are the
 columns of v past the rank, and the lifts to Z^p of the cocycles over
 Z_m are spanned by the columns of v with column i scaled by
@@ -37,10 +39,11 @@ past the rank.  H^2 is the quotient of the lattice by the coboundaries
 (the rows of d2, plus m * Z^p over Z_m); the one Smith form of their
 coordinate matrix, u * X * w = diag, gives its invariant factors and
 generators, and the class of a cocycle with coordinates x is u * x.
-Only the rows of d2 are multiplied by v^-1 for X: the coordinates of
-m * e_j are read off column j of v^-1 (see _coboundary_coords).  v and
-v^-1 stay sparse throughout, and only the generators of order other
-than 1 are built.
+For X, v^-1 meets the rows of d2 through the at most four nonzeros of
+each column of d2, and the coordinates of m * e_j are read off column j
+of v^-1 (see _coboundary_coords).  v and v^-1 stay sparse throughout,
+the second Smith form never forms its own, and only the generators of
+order other than 1 are built.
 """
 
 import operator
@@ -91,9 +94,8 @@ def triple_basis(bq):
 
 
 def boundary_matrices(bq):
-    """(d2, d3) as dense integer matrices, expanded from the sparse rows
-    of d3^T that _Complex builds; raises ValueError unless d2 @ d3
-    vanishes."""
+    """(d2, d3) as dense integer matrices, d3 expanded from every row of
+    _Complex's d3^T; raises ValueError unless d2 @ d3 vanishes."""
     cx = _Complex(bq)
     d3 = [[0] * len(cx.d3t) for _ in range(cx.npairs)]
     for j, row in enumerate(cx.d3t):
@@ -102,19 +104,54 @@ def boundary_matrices(bq):
     return cx.d2, d3
 
 
+def _d3t_row(term, p):
+    """The row of d3^T for one terms entry, {pair index: coefficient}:
+    repeated pairs summed, zeros and the degenerate index p dropped."""
+    row = {}
+    for k, c in zip(term, (1, 1, 1, -1, -1, -1)):
+        if k != p:
+            row[k] = row.get(k, 0) + c
+    return {k: c for k, c in row.items() if c}
+
+
+class _D3tRows:
+    """d3^T as a read-only sequence of {pair index: coefficient} rows,
+    one per triple in triple_basis order.  Row i is expanded from
+    terms[i] each time it is read and is not kept; len, truth and
+    iteration read no row they do not return."""
+
+    def __init__(self, terms, p):
+        self.terms = terms
+        self.p = p
+
+    def __len__(self):
+        return len(self.terms)
+
+    def __getitem__(self, i):
+        return _d3t_row(self.terms[i], self.p)
+
+    def __iter__(self):
+        p = self.p
+        for term in self.terms:
+            yield _d3t_row(term, p)
+
+
 class _Complex:
     """The cochain complex of one biquandle, built in one pass over the
     triples: d2 as a dense n x p matrix, the pair count p, d3 as terms,
-    one tuple of six pair indices per triple in triple_basis order, and,
-    on first use, d3^T as {pair index: coefficient} rows and their Smith
-    form, and H^2 per coefficient modulus.
+    one tuple of six pair indices per triple in triple_basis order, and
+    d3^T as a _D3tRows over them, whose rows are expanded only when
+    read.  On first use it adds the nonzeros of each column of d2, the
+    Smith form of d3^T, and H^2 per coefficient modulus.
 
     The Smith form of d3^T is told that its rank is at most p - rank d2,
     with rank d2 over F_q (RANK_PRIME), at most its rank over Q.  The
     check below makes the bound sound: d2 @ d3 = 0 puts the image of d3
-    in the kernel of d2.  The result carries diag and the sparse columns
-    of v and rows of v^-1, the only parts the cohomology reads, but no u
-    once it stops at the bound.
+    in the kernel of d2.  The Smith form reads a row of d3^T only when
+    it brings the row in, so rows past the pivots are never expanded.
+    Its result forms the sparse columns of v and rows of v^-1, the only
+    parts the cohomology reads, from its column log on first read, and
+    keeps no u once it stops at the bound.
 
     The slots of a terms entry are fixed: the first three pairs enter
     d3(x, y, z) with +1, the last three with -1,
@@ -124,7 +161,7 @@ class _Complex:
 
     and index p stands for a degenerate pair, which d3 drops.  A pair
     may fill more than one slot; the terms then cancel or add up in
-    arithmetic, as they do in the dict rows of d3t.
+    arithmetic, as they do in the rows of d3t.
 
     Each triple is checked as it is built: the d2 columns of its pairs
     must sum to zero, or d2 @ d3 would not vanish.  For the check,
@@ -174,21 +211,14 @@ class _Complex:
                     terms.append((a, b, c, d, e, kxy))
         self.d2 = d2
         self.terms = terms
+        self.d3t = _D3tRows(terms, p)
         self.h2 = {}
 
     @cached_property
-    def d3t(self):
-        """d3^T as one {pair index: coefficient} dict per triple, in
-        triple_basis order: repeated pairs summed, zeros dropped."""
-        p = self.npairs
-        rows = []
-        for term in self.terms:
-            row = {}
-            for k, c in zip(term, (1, 1, 1, -1, -1, -1)):
-                if k != p:
-                    row[k] = row.get(k, 0) + c
-            rows.append({k: c for k, c in row.items() if c})
-        return rows
+    def d2_cols(self):
+        """The nonzeros of each column of d2, as (row, value) pairs: at
+        most four per column."""
+        return [[(i, c) for i, c in enumerate(col) if c] for col in zip(*self.d2)]
 
     @cached_property
     def d3t_snf(self):
@@ -276,27 +306,42 @@ def coboundary_generators(bq, coeff):
 def _coboundary_coords(bq, coeff):
     """X, the matrix _h2 factors: column k holds the cocycle_lattice
     coordinates of coboundary generator k, as {column: value} rows, and
-    its column count.  Only the n rows of d2 go through _lattice_coords:
-    over Z_m, generator n + j is m * e_j, whose coordinate i is
+    its column count.  The first n generators are the rows of d2, so
+    row i of v^-1 d2^T holds entry i of v^-1 x for each of them; it is
+    summed over the nonzeros of row i of v^-1, each meeting the at most
+    four nonzeros of one column of d2, and divided by the scale of
+    lattice column i as _lattice_coords divides it.  Over Z_m,
+    generator n + j is m * e_j, whose coordinate i is
     m * v^-1[i][j] / (m / gcd(d_i, m)) = gcd(d_i, m) * v^-1[i][j]."""
     cx = _complex(bq)
     res = cx.d3t_snf
     m = coeff.modulus
-    coords = _lattice_coords(bq, coeff, cx.d2)
-    if None in coords:
-        raise ValueError("generator outside the spanned lattice")
-    rows = [{} for _ in _lattice_basis(res, m)]
-    for k, y in enumerate(coords):
-        for i, x in enumerate(y):
-            if x:
-                rows[i][k] = x
-    n = len(coords)
-    if m == 0:
-        return rows, n
-    for row, s, v_inv_row in zip(rows, _scales(res, m), res.v_inv_rows):
-        g = m // s
-        row.update((n + j, g * x) for j, x in v_inv_row.items())
-    return rows, n + len(rows)
+    n = len(cx.d2)
+    d2_cols = cx.d2_cols
+    rank = res.rank
+    scales = _scales(res, m) if m else None
+    rows = []
+    for i, v_inv_row in enumerate(res.v_inv_rows):
+        y = [0] * n
+        for k, x in v_inv_row.items():
+            for r, c in d2_cols[k]:
+                y[r] += x * c
+        if m:
+            s = scales[i]
+            if any(a % s for a in y):
+                raise ValueError("generator outside the spanned lattice")
+            row = {r: a // s for r, a in enumerate(y) if a}
+            row.update((n + j, m // s * x) for j, x in v_inv_row.items())
+        elif i < rank:
+            # over Z the entries below the rank must vanish, and those
+            # past it are the coordinates
+            if any(y):
+                raise ValueError("generator outside the spanned lattice")
+            continue
+        else:
+            row = {r: a for r, a in enumerate(y) if a}
+        rows.append(row)
+    return rows, (n + len(rows) if m else n)
 
 
 def _h2(bq, coeff):

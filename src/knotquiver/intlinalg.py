@@ -66,9 +66,14 @@ class SNFResult:
     log (row_ops is None): u, u_inv, apply_u and apply_u_inv then raise
     ValueError instead of returning part of u.
 
-    v and v_inv are dense.  snf builds its result with sparse(), from
-    the columns of v and the rows of v_inv as {index: value} dicts
-    (v_cols and v_inv_rows), and forms the dense ones on first access.
+    snf builds its result with logged(), from a log of the column
+    operations ((i, j, 0) for a swap of columns i and j, (i, j, c) for
+    col_i += c * col_j), and v and v_inv are formed from it on first
+    access: first the columns of v and the rows of v_inv as sparse
+    {index: value} dicts (v_cols and v_inv_rows), each replayed from the
+    log on its own, then the dense ones from those.  A caller that reads
+    neither never pays for them.  SNFResult(diag, v, v_inv, row_ops,
+    nrows) takes dense v and v_inv as they are.
     """
 
     def __init__(self, diag, v, v_inv, row_ops, nrows):
@@ -79,14 +84,36 @@ class SNFResult:
         self.nrows = nrows
 
     @classmethod
-    def sparse(cls, diag, v_cols, v_inv_rows, row_ops, nrows):
+    def logged(cls, diag, ncols, col_ops, row_ops, nrows):
         res = cls.__new__(cls)
         res.diag = diag
-        res.v_cols = v_cols
-        res.v_inv_rows = v_inv_rows
+        res.ncols = ncols
+        res.col_ops = col_ops
         res.row_ops = row_ops
         res.nrows = nrows
         return res
+
+    @cached_property
+    def v_cols(self):
+        cols = [{k: 1} for k in range(self.ncols)]
+        for i, j, c in self.col_ops:
+            if c:
+                _add_into(cols[i], cols[j], c)
+            else:
+                cols[i], cols[j] = cols[j], cols[i]
+        return cols
+
+    @cached_property
+    def v_inv_rows(self):
+        # v_inv = (E_1 ... E_k)^-1: col_i += c * col_j on v is
+        # row_j -= c * row_i on v_inv
+        rows = [{k: 1} for k in range(self.ncols)]
+        for i, j, c in self.col_ops:
+            if c:
+                _add_into(rows[j], rows[i], -c)
+            else:
+                rows[i], rows[j] = rows[j], rows[i]
+        return rows
 
     @cached_property
     def v(self):
@@ -151,8 +178,8 @@ def rank_mod(mat, q):
 
 
 def snf(mat, ncols=None, rank_bound=None):
-    """Smith normal form: diag, the column transform v and its inverse,
-    and a log of the row operations (see SNFResult).
+    """Smith normal form: diag and logs of the column and row operations,
+    from which the result forms v, its inverse and u (see SNFResult).
 
     mat is a list of dense rows, or, when ncols gives the column count,
     a list of sparse rows, one {column: value} dict each; mat is not
@@ -162,12 +189,10 @@ def snf(mat, ncols=None, rank_bound=None):
     nonzero entries, plus the set of rows with a nonzero in each column.
     A row operation touches only the nonzero entries of the pivot row,
     and a column operation only the rows with a nonzero in the pivot
-    column.  v and v_inv are held the same way, the columns of v and the
-    rows of v_inv as {index: value} dicts: a column operation touches
-    the nonzeros of one of each, and a column swap swaps two of each.
-    The result keeps them sparse and forms the dense v and v_inv on
-    first read (SNFResult).  The operations and their order are those of
-    a dense elimination, so the output does not depend on the storage.
+    column.  The column operations go to a log, and the result forms v
+    and v_inv from it only when they are read (SNFResult.logged).  The
+    operations and their order are those of a dense elimination, so the
+    output does not depend on the storage.
 
     A row enters the elimination only when the pivot scan first reaches
     it; the scan stops at the first row that holds a unit, and on sparse
@@ -200,9 +225,7 @@ def snf(mat, ncols=None, rank_bound=None):
     # label[k]: the original column now at position k; pos inverts it
     label = list(range(n))
     pos = list(range(n))
-    # the columns of v and the rows of v_inv, {index: value} each
-    vt = [{k: 1} for k in range(n)]
-    v_inv = [{k: 1} for k in range(n)]
+    col_log = []  # the column operations, (i, j, c), c = 0 for a swap
     log = []  # the row operations, one list per step
     negated = set()  # the steps that end with ("neg", t, 0, 0)
     pivots = []  # per step while rows are left out: (pivot, row by label)
@@ -278,8 +301,7 @@ def snf(mat, ncols=None, rank_bound=None):
             if x:
                 row[j] = x
         cols[i], cols[j] = cols[j], cols[i]
-        vt[i], vt[j] = vt[j], vt[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+        col_log.append((i, j, 0))
         label[i], label[j] = label[j], label[i]
         pos[label[i]] = i
         pos[label[j]] = j
@@ -296,8 +318,7 @@ def snf(mat, ncols=None, rank_bound=None):
             else:
                 del row[i]
                 ci.remove(r)
-        _add_into(vt[i], vt[j], c)
-        _add_into(v_inv[j], v_inv[i], -c)
+        col_log.append((i, j, c))
 
     # rows and columns before t are done: their only nonzero entry is on
     # the diagonal, so the rows from t on hold columns from t on only
@@ -377,4 +398,4 @@ def snf(mat, ncols=None, rank_bound=None):
             if s in negated:
                 row_ops.append(("neg", s, 0, 0))
     diag = [rows[i][i] for i in range(t)] + [0] * (size - t)
-    return SNFResult.sparse(diag, vt, v_inv, row_ops, m)
+    return SNFResult.logged(diag, n, col_log, row_ops, m)

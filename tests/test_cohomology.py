@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from functools import cached_property
 
 import pytest
 
@@ -146,7 +145,7 @@ def test_sparse_complex_matches_dense_reference(name):
             expanded[k] += c
         assert expanded[:p] == col
     # rows in triple_basis order, repeated pairs summed, zeros dropped
-    assert cx.d3t == sparse_rows(transpose(d3))
+    assert list(cx.d3t) == sparse_rows(transpose(d3))
     assert boundary_matrices(bq) == (d2, d3)
 
 
@@ -527,22 +526,28 @@ def test_modular_cocycle_lattice_matches_augmented_kernel(name, m):
         assert is_coboundary(bq, coeff, [order * x for x in vec])
 
 
+def counting_rows(monkeypatch):
+    """Record each terms entry whose row of d3^T is expanded, in order."""
+    expanded = []
+    expand = cohomology._d3t_row
+
+    def counting(term, p):
+        expanded.append(term)
+        return expand(term, p)
+
+    monkeypatch.setattr(cohomology, "_d3t_row", counting)
+    return expanded
+
+
 def test_boundary_matrices_built_once_per_instance(monkeypatch):
-    built, expanded = [], []
+    built = []
     original = cohomology._Complex
-    expand = original.d3t.func
+    expanded = counting_rows(monkeypatch)
 
     def counting(bq):
         built.append(bq)
         return original(bq)
 
-    def counting_expand(cx):
-        expanded.append(cx)
-        return expand(cx)
-
-    rows = cached_property(counting_expand)
-    rows.__set_name__(original, "d3t")
-    monkeypatch.setattr(original, "d3t", rows)
     monkeypatch.setattr(cohomology, "_Complex", counting)
     bq = core_cyclic(4)
     coeff = CoeffGroup(4)
@@ -554,23 +559,57 @@ def test_boundary_matrices_built_once_per_instance(monkeypatch):
         kept = list(vec)
         assert is_cocycle(bq, coeff, tuple(vec))
         assert vec == kept
-    # the cocycle test reads the six pair indices per triple; the dict
-    # rows of d3^T and their Smith form are left for the first H^2 call
+    # the cocycle test reads the six pair indices per triple; no row of
+    # d3^T is expanded, and the Smith form is left for the first H^2 call
     cx = cohomology._complex(bq)
-    assert "d3t" not in vars(cx) and "d3t_snf" not in vars(cx)
+    assert "d3t_snf" not in vars(cx)
     assert not expanded
     h2_generators(bq, Z)
+    # core-4 stays below its rank bound, so every row enters, once
+    assert expanded == cx.terms
     h2_generators(bq, coeff)
     assert is_coboundary(bq, coeff, zero)
     assert len(built) == 1 and built[0] is bq
-    assert expanded == [cx]
+    assert expanded == cx.terms
 
     fresh = core_cyclic(4)
     assert is_cocycle(fresh, coeff, zero)
     assert not is_cocycle(fresh, coeff, [1] + zero[1:])
     assert len(built) == 2 and built[1] is fresh
-    assert "d3t" not in vars(cohomology._complex(fresh))
-    assert expanded == [cx]
+    assert "d3t_snf" not in vars(cohomology._complex(fresh))
+    assert expanded == cx.terms
+
+
+# rows of d3^T the bounded Smith form brings in, of all rows: every row
+# when the bound is not reached (swap3), the rows up to the last pivot
+# on the connected quandles
+@pytest.mark.parametrize("name,read,total", [
+    ("swap3", 12, 12), ("core-5", 25, 80), ("core-7", 62, 252),
+    ("alexander-7-3", 53, 252), ("alexander-7-5", 60, 252), ("core-9", 115, 576),
+])
+def test_d3t_smith_form_expands_only_the_rows_it_brings_in(monkeypatch, name, read, total):
+    expanded = counting_rows(monkeypatch)
+    cx = cohomology._Complex(builtin(name))
+    assert len(cx.d3t) == total and cx.d3t
+    assert not expanded
+    res = cx.d3t_snf
+    # each row once, in index order, and none past the last one entered;
+    # a form that left rows out keeps no row log
+    assert expanded == cx.terms[:read]
+    assert (res.row_ops is None) == (read < total)
+
+
+@pytest.mark.parametrize("name,m", [("swap3", 3), ("core-4", 0), ("core-4", 4), ("core-7", 7),
+                                    ("alexander-7-3", 7), ("flip2", 2)])
+def test_h2_smith_form_never_forms_its_column_transform(name, m):
+    bq = builtin(name)
+    coeff = CoeffGroup(m)
+    for _, vec in h2_generators(bq, coeff):
+        h2_coordinates(bq, coeff, vec)
+    res = cohomology._h2(bq, coeff)[1]
+    assert not {"v_cols", "v_inv_rows", "v", "v_inv"} & vars(res).keys()
+    # the d3^T form has them, for the lattice basis and coordinates
+    assert {"v_cols", "v_inv_rows"} <= vars(cohomology._complex(bq).d3t_snf).keys()
 
 
 def test_coboundary_solvers_built_once_per_modulus(monkeypatch):

@@ -325,7 +325,7 @@ def test_snf_of_sparse_coboundary_rows_matches_dense_rows(name):
     before = [dict(row) for row in rows]
     _, d3 = boundary_matrices(bq)
     res = snf(rows, cx.npairs)
-    assert rows == before
+    assert list(rows) == before
     assert_same_results(res, snf(transpose(d3)))
     # trivial-3 has an all-zero d3^T: only ncols gives v its size
     assert len(res.v) == len(res.v_inv) == cx.npairs
