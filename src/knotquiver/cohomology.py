@@ -117,8 +117,8 @@ def _d3t_row(term, p):
 class _D3tRows:
     """d3^T as a read-only sequence of {pair index: coefficient} rows,
     one per triple in triple_basis order.  Row i is expanded from
-    terms[i] each time it is read and is not kept; len, truth and
-    iteration read no row they do not return."""
+    terms[i] each time it is read and is not kept; len and truth read
+    no row, and iteration goes through [i]."""
 
     def __init__(self, terms, p):
         self.terms = terms
@@ -129,11 +129,6 @@ class _D3tRows:
 
     def __getitem__(self, i):
         return _d3t_row(self.terms[i], self.p)
-
-    def __iter__(self):
-        p = self.p
-        for term in self.terms:
-            yield _d3t_row(term, p)
 
 
 class _Complex:
@@ -275,6 +270,18 @@ def cocycle_lattice(bq, coeff):
     return out
 
 
+def _to_lattice(y, rank, scales):
+    """The cocycle_lattice coordinates of a vector from y = v^-1 vec,
+    None outside the lattice.  Over Z (scales None) entries below the
+    rank must vanish and those past it are the coordinates; over Z_m
+    entry i is divided by the scale of lattice column i."""
+    if scales is None:
+        return None if any(y[:rank]) else y[rank:]
+    if any(a % s for a, s in zip(y, scales)):
+        return None
+    return [a // s for a, s in zip(y, scales)]
+
+
 def _lattice_coords(bq, coeff, vectors):
     """Coordinates of each vector over the cocycle_lattice basis, read
     off y = v^-1 vec; None for a vector outside the lattice, that is,
@@ -282,15 +289,9 @@ def _lattice_coords(bq, coeff, vectors):
     res = _complex(bq).d3t_snf
     m = coeff.modulus
     scales = _scales(res, m) if m else None
-    out = []
-    for vec in vectors:
-        y = [sum(x * vec[k] for k, x in row.items()) for row in res.v_inv_rows]
-        if m == 0:
-            out.append(None if any(y[:res.rank]) else y[res.rank:])
-        else:
-            out.append(None if any(a % s for a, s in zip(y, scales))
-                       else [a // s for a, s in zip(y, scales)])
-    return out
+    return [_to_lattice([sum(x * vec[k] for k, x in row.items()) for row in res.v_inv_rows],
+                        res.rank, scales)
+            for vec in vectors]
 
 
 def coboundary_generators(bq, coeff):
@@ -307,41 +308,34 @@ def _coboundary_coords(bq, coeff):
     """X, the matrix _h2 factors: column k holds the cocycle_lattice
     coordinates of coboundary generator k, as {column: value} rows, and
     its column count.  The first n generators are the rows of d2, so
-    row i of v^-1 d2^T holds entry i of v^-1 x for each of them; it is
-    summed over the nonzeros of row i of v^-1, each meeting the at most
-    four nonzeros of one column of d2, and divided by the scale of
-    lattice column i as _lattice_coords divides it.  Over Z_m,
-    generator n + j is m * e_j, whose coordinate i is
-    m * v^-1[i][j] / (m / gcd(d_i, m)) = gcd(d_i, m) * v^-1[i][j]."""
+    row i of Y = v^-1 d2^T holds entry i of y = v^-1 x for each of
+    them; it is summed over the nonzeros of row i of v^-1, each meeting
+    the at most four nonzeros of one column of d2, and each column of Y
+    goes through _to_lattice.  Over Z_m, generator n + j is m * e_j,
+    whose coordinate i is m * v^-1[i][j] / (m / gcd(d_i, m)) =
+    gcd(d_i, m) * v^-1[i][j]."""
     cx = _complex(bq)
     res = cx.d3t_snf
     m = coeff.modulus
     n = len(cx.d2)
     d2_cols = cx.d2_cols
-    rank = res.rank
     scales = _scales(res, m) if m else None
-    rows = []
-    for i, v_inv_row in enumerate(res.v_inv_rows):
+    ys = []
+    for v_inv_row in res.v_inv_rows:
         y = [0] * n
         for k, x in v_inv_row.items():
             for r, c in d2_cols[k]:
                 y[r] += x * c
-        if m:
-            s = scales[i]
-            if any(a % s for a in y):
-                raise ValueError("generator outside the spanned lattice")
-            row = {r: a // s for r, a in enumerate(y) if a}
+        ys.append(y)
+    coords = [_to_lattice(y, res.rank, scales) for y in zip(*ys)]
+    if None in coords:
+        raise ValueError("generator outside the spanned lattice")
+    rows = [{r: a for r, a in enumerate(row) if a} for row in zip(*coords)]
+    if m:
+        for row, s, v_inv_row in zip(rows, scales, res.v_inv_rows):
             row.update((n + j, m // s * x) for j, x in v_inv_row.items())
-        elif i < rank:
-            # over Z the entries below the rank must vanish, and those
-            # past it are the coordinates
-            if any(y):
-                raise ValueError("generator outside the spanned lattice")
-            continue
-        else:
-            row = {r: a for r, a in enumerate(y) if a}
-        rows.append(row)
-    return rows, (n + len(rows) if m else n)
+        return rows, n + len(rows)
+    return rows, n
 
 
 def _h2(bq, coeff):
