@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import random
@@ -260,6 +261,36 @@ def test_batch_limit_row(capsys):
         "2.1\tlimit: maximal_paths: 500001 extension steps (budget 500000), "
         "0 dead ends, 0 maximal so far, 64 edges\n"
     )
+
+
+# (algebra, group, endomorphisms) batched over every catalog link with
+# h2-generators, once with the fixed list and once with all
+# endomorphisms; the second run of every algebra but flip2 ends each
+# row in `limit`, so 140 limit rows and 196 results are pinned
+GOLDEN_BATCH_CASES = [
+    ("swap3", "3", "[[2,2,1]]"),
+    ("flip2", "2", "[[2,1]]"),
+    ("core-3", "3", "[[1,3,2],[1,1,1]]"),
+    ("core-4", "3", "[[2,4,2,4],[1,1,1,1]]"),
+    ("core-5", "5", "[[1,3,5,2,4]]"),
+    ("alexander-5-2", "5", "[[1,2,3,4,5],[1,4,2,5,3]]"),
+]
+# sha256 of the 12 `batch --json` outputs, recorded before the path
+# search learned to skip steps that leave the tail's strongly connected
+# component; any change to a polynomial or a limit text changes it
+GOLDEN_BATCH_DIGEST = "67d2508b2511c50af04430d602551d2f8862f710096c9992b083e7af1f69207b"
+
+
+def test_batch_polynomials_match_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for quandle, group, endos in GOLDEN_BATCH_CASES:
+        for spec in (endos, "all-endomorphisms"):
+            code, out, _ = run(
+                capsys, "batch", "--links", "all", "--quandle", quandle, "--group", group,
+                "--cocycles", "h2-generators", "--endos", spec, "--json")
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == GOLDEN_BATCH_DIGEST
 
 
 def test_batch_classical_selects_the_l_named_links(capsys):
