@@ -26,7 +26,9 @@ class LimitError(RuntimeError):
     """Raised when a search exceeds its work budget (see STEP_BUDGET)."""
 
 
-# labeled extension steps the path search may take; read at call time
+# labeled extension steps the path search may take; read at call time.
+# A step that leaves the tail's strongly connected component while the
+# tail has an unused in-arrow is never taken, so it is never counted.
 STEP_BUDGET = 500_000
 
 
@@ -275,14 +277,20 @@ def maximal_paths(quiver):
     tests read only which classes have arrows left, so maximality is a
     property of the class trail.
 
-    The budget counts labeled trails: an extension step is one edge
-    pushed onto a labeled trail, and a class step adds its weight.  The
-    search raises LimitError once the steps pass STEP_BUDGET, naming
-    step STEP_BUDGET + 1, which lies inside the class step that passed
-    it.  Dead ends and maximal paths are counted in the same units.
-    Every dead end follows a class step, and its test scans only the
-    distinct vertices of the trail, so the budget bounds the whole
-    search, the tests included.
+    A trail can return to its tail only from the tail's strongly
+    connected component.  So once a step leaves that component while
+    the tail still has an unused in-arrow, that arrow stays unused and
+    no extension is a dead end: the search never takes such a step.
+
+    The budget counts the labeled trails the search takes: an extension
+    step is one edge pushed onto a labeled trail, and a class step adds
+    its weight; a step the search skips is never counted.  The search
+    raises LimitError once the steps pass STEP_BUDGET, naming step
+    STEP_BUDGET + 1, which lies inside the class step that passed it.
+    Dead ends and maximal paths are counted in the same units.  Every
+    dead end follows a class step, and its test scans only the distinct
+    vertices of the trail, so the budget bounds the whole search, the
+    tests included.
     """
     members, found = _class_paths(quiver)
     out = []
@@ -307,7 +315,11 @@ def _class_paths(quiver):
 
     Returns (members, found): members[c] lists the arrows of class c in
     index order, and found holds (class path, weight) pairs, sorted.
-    See maximal_paths for what is searched and how the budget counts.
+    The strongly connected components of the class graph are labelled
+    once per call; a class step to a vertex outside the tail's component
+    while the tail has an unused in-arrow is skipped before it is
+    counted, since nothing below it is a dead end.  See maximal_paths
+    for what is searched and how the budget counts.
     """
     budget = STEP_BUDGET
     n = len(quiver.edges)
@@ -332,6 +344,7 @@ def _class_paths(quiver):
     out_of = [[] for _ in range(nv)]
     for c in range(nc):
         out_of[source[c]].append(c)
+    comp = _components(out_of, target)
     # unused arrows of each class, out of and into each vertex, and
     # visits by the trail
     left = [len(es) for es in members]
@@ -352,6 +365,7 @@ def _class_paths(quiver):
     exhausted = iter(())
     for first in range(nc):
         tail = source[first]
+        home = comp[tail]
         visits[tail] += 1
         on_trail.append(tail)
         # iters[i] yields the classes that may follow path[:i]
@@ -359,7 +373,10 @@ def _class_paths(quiver):
         while iters:
             for c in iters[-1]:
                 k = left[c]
-                if not k:
+                # past a step out of the tail's component the trail
+                # never returns to the tail, so while the tail has an
+                # unused in-arrow nothing below the step is a dead end
+                if not k or comp[target[c]] != home and free_in[tail]:
                     continue
                 trails = weight[-1] * k
                 steps += trails
@@ -411,6 +428,53 @@ def _class_paths(quiver):
         on_trail.pop()
     found.sort()
     return members, found
+
+
+def _components(out_of, target):
+    """comp[v]: the label of vertex v's strongly connected component.
+
+    Tarjan's algorithm with an explicit stack of (vertex, arrow
+    iterator) frames, so it takes linear time and no recursion.  A
+    vertex that is numbered but not yet labelled is on Tarjan's stack.
+    """
+    nv = len(out_of)
+    comp = [-1] * nv
+    order = [-1] * nv
+    low = [0] * nv
+    stack = []
+    seen = labels = 0
+    for root in range(nv):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = seen
+        seen += 1
+        stack.append(root)
+        frames = [(root, iter(out_of[root]))]
+        while frames:
+            v, arrows = frames[-1]
+            for c in arrows:
+                w = target[c]
+                if order[w] < 0:
+                    order[w] = low[w] = seen
+                    seen += 1
+                    stack.append(w)
+                    frames.append((w, iter(out_of[w])))
+                    break
+                if comp[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == order[v]:
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        comp[w] = labels
+                    labels += 1
+    return comp
 
 
 def _on_unused_cycle(v, out_of, target, left):

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from collections import deque
 from operator import mul
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ import pytest
 from knotquiver import polynomials
 from knotquiver.algebra import core_cyclic
 from knotquiver.catalog import get_diagram
-from knotquiver.cohomology import CoeffGroup
+from knotquiver.cohomology import CoeffGroup, evaluate
 from knotquiver.polynomials import (
     GroupExponentPolynomial as P,
     LimitError,
@@ -364,6 +365,40 @@ def reference_trail_count(quiver):
     return count
 
 
+def reference_taken_trail_count(quiver):
+    """The number of non-empty trails the search takes, one extension
+    step each: a trail counts when, at each of its steps, the step's
+    target reaches the tail or the tail has no unused in-arrow before
+    that step."""
+    edges = quiver.edges
+
+    def reaches(v, goal):
+        seen, queue = {v}, deque([v])
+        while queue:
+            u = queue.popleft()
+            if u == goal:
+                return True
+            for src, tgt, _ in edges:
+                if src == u and tgt not in seen:
+                    seen.add(tgt)
+                    queue.append(tgt)
+        return False
+
+    count = 0
+    stack = [(e,) for e in range(len(edges))]
+    while stack:
+        path = stack.pop()
+        tail, head = edges[path[0]][0], edges[path[-1]][1]
+        if not reaches(head, tail) and any(
+                tgt == tail and e not in path[:-1] for e, (_, tgt, _) in enumerate(edges)):
+            continue
+        count += 1
+        stack.extend(
+            path + (e,) for e, (src, _, _) in enumerate(edges)
+            if src == head and e not in path)
+    return count
+
+
 def test_maximal_paths_budget_counts_steps(monkeypatch):
     q = bridge_quiver()
     steps = reference_trail_count(q)
@@ -416,13 +451,60 @@ def test_class_search_matches_reference_on_parallel_arrows(monkeypatch):
     for _ in range(300):
         q = random_parallel_quiver(rng)
         assert_matches_reference(q)
-        steps = reference_trail_count(q)
+        steps = reference_taken_trail_count(q)
         monkeypatch.setattr(polynomials, "STEP_BUDGET", steps)
         path_polynomials(q)
         monkeypatch.setattr(polynomials, "STEP_BUDGET", steps - 1)
         with pytest.raises(LimitError, match="^maximal_paths: %d extension steps " % steps):
             maximal_paths(q)
         monkeypatch.undo()
+
+
+def test_taken_trails_are_all_trails_on_strongly_connected_quivers():
+    for q in (bridge_quiver(), doubled_bridge_quiver()):
+        assert reference_taken_trail_count(q) == reference_trail_count(q)
+
+
+def test_search_never_steps_out_of_the_tails_component(monkeypatch):
+    # two loops a and b joined by a one-way bridge: a trail that starts
+    # on the bridge leaves the tail's component while a is unused, so the
+    # search takes a, a-bridge, a-bridge-b and b, not all 6 trails
+    q = quiver_of([(0, 0, None), (0, 1, None), (1, 1, None)])
+    assert (reference_taken_trail_count(q), reference_trail_count(q)) == (4, 6)
+    monkeypatch.setattr(polynomials, "STEP_BUDGET", 4)
+    assert maximal_paths(q) == reference_maximal_paths(q) == [(0, 1, 2)]
+    monkeypatch.setattr(polynomials, "STEP_BUDGET", 3)
+    with pytest.raises(LimitError, match="^maximal_paths: 4 extension steps "):
+        maximal_paths(q)
+
+
+def test_class_search_counts_the_pool_maximal_paths():
+    # every 2nd quiver of the benchmark's pool, whose entries record the
+    # maximal paths the unpruned search found
+    pool = json.loads(POOL_FILE.read_text())
+    endos = [tuple(e) for e in pool["endos"]]
+    for link, a, b, paths, *_ in pool["entries"][::2]:
+        _, found = polynomials._class_paths(core4_quiver(link, (endos[a], endos[b])))
+        assert sum(weight for _, weight in found) == paths
+
+
+def test_pool_characteristic_polynomials_factor_through_the_vectors():
+    # every arrow matrix is P(w) P(u)^T with P(v) the m x c 0/1 matrix
+    # of the vectors' labels at v, so det(tI_m - M) = t^(m-c) det(tI_c - X)
+    # with X[phi][psi] = [phi(u) = psi(w)], and every edge and path
+    # characteristic term carries t^(m-c)
+    pool = json.loads(POOL_FILE.read_text())
+    endos = [tuple(e) for e in pool["endos"]]
+    coeff = CoeffGroup(3)
+    m, c = coeff.modulus, len(CORE4_VECTORS)
+    for link, a, b, *_ in pool["entries"][::16]:
+        q = core4_quiver(link, (endos[a], endos[b]))
+        for poly in (edge_char_polynomial(q), path_polynomials(q)[0]):
+            assert all(dict(key).get("t", 0) >= m - c for key in poly.terms)
+        labels = [[evaluate(coeff, phi, chain) for phi in CORE4_VECTORS] for chain in q.chains]
+        for u, w, mat in q.edges:
+            x = [[int(i == j) for j in labels[w]] for i in labels[u]]
+            assert char_poly(mat) == char_poly(x) * mono(1, t=m - c)
 
 
 def test_maximal_paths_cap_stops_a_dense_quiver_fast():
