@@ -373,9 +373,8 @@ def _class_paths(quiver):
         while iters:
             for c in iters[-1]:
                 k = left[c]
-                # past a step out of the tail's component the trail
-                # never returns to the tail, so while the tail has an
-                # unused in-arrow nothing below the step is a dead end
+                # a trail that leaves the tail's component never uses
+                # the tail's unused in-arrows: no dead end lies below
                 if not k or comp[target[c]] != home and free_in[tail]:
                     continue
                 trails = weight[-1] * k
