@@ -29,6 +29,9 @@ class LimitError(RuntimeError):
 # labeled extension steps the path search may take; read at call time.
 # A step that leaves the tail's strongly connected component while the
 # tail has an unused in-arrow is never taken, so it is never counted.
+# The count is of the labeled trails the search would take without
+# reusing the search below a component entry: a reuse adds the steps
+# below the entry times the weight of the step into it.
 STEP_BUDGET = 500_000
 
 
@@ -282,19 +285,35 @@ def maximal_paths(quiver):
     the tail still has an unused in-arrow, that arrow stays unused and
     no extension is a dead end: the search never takes such a step.
 
-    The budget counts the labeled trails the search takes: an extension
-    step is one edge pushed onto a labeled trail, and a class step adds
-    its weight; a step the search skips is never counted.  The search
-    raises LimitError once the steps pass STEP_BUDGET, naming step
-    STEP_BUDGET + 1, which lies inside the class step that passed it.
-    Dead ends and maximal paths are counted in the same units.  Every
-    dead end follows a class step, and its test scans only the distinct
-    vertices of the trail, so the budget bounds the whole search, the
-    tests included.
+    Nor does a trail that steps into another component ever come back,
+    so what lies below that step depends only on the vertex it enters.
+    The search below such an entry vertex runs once, and every later
+    trail that enters there reuses it (see _class_paths).
+
+    The budget counts the labeled trails the search would take without
+    that reuse: an extension step is one edge pushed onto a labeled
+    trail, and a class step adds its weight; a step the search skips is
+    never counted, and a reuse adds the steps below the entry times the
+    weight of the step into it.  The search raises LimitError once the
+    steps pass STEP_BUDGET, naming step STEP_BUDGET + 1, which lies
+    inside the class step that passed it; a reuse that would pass it
+    searches live instead, so the count stops where it would without
+    reuse.  Dead ends and maximal paths are counted in the same units.
+    Every dead end follows a class step, and its test scans only the
+    distinct vertices of the trail, so the budget bounds the whole
+    search, the tests included.
     """
-    members, found = _class_paths(quiver)
+    members, roots, entries = _class_paths(quiver)
+    found = []
+    stack = [(path, entry) for path, _, entry in roots]
+    while stack:
+        path, entry = stack.pop()
+        if entry is None:
+            found.append(path)
+        else:
+            stack.extend((path + more, below) for more, _, below in entries[entry])
     out = []
-    for path, _ in found:
+    for path in found:
         # the places of each class on the path take its arrows in every
         # order, one labeled path per choice
         slots = {}
@@ -313,12 +332,31 @@ def maximal_paths(quiver):
 def _class_paths(quiver):
     """The one trail search behind maximal_paths and path_polynomials.
 
-    Returns (members, found): members[c] lists the arrows of class c in
-    index order, and found holds (class path, weight) pairs, sorted.
+    Returns (members, roots, entries).  members[c] lists the arrows of
+    class c in index order.  roots holds (class path, weight, entry)
+    triples: a maximal class path when entry is None, else a trail that
+    ends with the step into vertex entry and goes on with each of
+    entries[entry], a list of triples of the same shape that continue
+    from there, weights counted from 1 at the entry.  entries runs from
+    the innermost entry out, so an entry comes after every entry its
+    list names.  The weight of a whole path is the product of the
+    weights of its pieces: a piece never uses a class of another.
+
     The strongly connected components of the class graph are labelled
     once per call; a class step to a vertex outside the tail's component
     while the tail has an unused in-arrow is skipped before it is
-    counted, since nothing below it is a dead end.  See maximal_paths
+    counted, since nothing below it is a dead end.  A step into another
+    component, the crossing into w, is taken only when the tail has no
+    unused in-arrow left, and the trail never comes back: the arrows
+    below w are all unused, and whether the vertices before w lie on an
+    unused cycle is fixed.  So the first crossing into w searches below
+    w as its own part, with the part's dead ends kept when no vertex of
+    the part lies on an unused cycle, and records that list with the
+    steps, dead ends and maximal paths below w per unit weight.  A later
+    crossing into w adds those counts times its weight and keeps the
+    completions when its own part passes the same test.  The search
+    state of the open parts is saved on a stack, so parts nest as deep
+    as the chain of components, with no recursion.  See maximal_paths
     for what is searched and how the budget counts.
     """
     budget = STEP_BUDGET
@@ -345,6 +383,8 @@ def _class_paths(quiver):
     for c in range(nc):
         out_of[source[c]].append(c)
     comp = _components(out_of, target)
+    # cross[c]: class c steps into another component
+    cross = [comp[source[c]] != comp[target[c]] for c in range(nc)]
     # unused arrows of each class, out of and into each vertex, and
     # visits by the trail
     left = [len(es) for es in members]
@@ -354,18 +394,29 @@ def _class_paths(quiver):
         free_out[source[c]] += left[c]
         free_in[target[c]] += left[c]
     visits = [0] * nv
-    # the trail's distinct vertices in order of first visit; the trail
-    # grows and shrinks at the head, so a vertex leaves in reverse order
-    on_trail = []
+    entries = {}
+    counts = {}  # entry -> steps, dead ends and maximal paths below it
+    # The open part: path holds its classes, weight[i] the labeled
+    # trails that the whole trail up to path[:i] stands for, from mult,
+    # the weight of the step into the part (1 for the root trails).
+    # found and gained hold its kept paths and their labeled trails,
+    # steps0 and dead0 the counts at its start, on_trail its distinct
+    # vertices in order of first visit (the trail grows and shrinks at
+    # the head, so a vertex leaves in reverse order).  clean: no vertex
+    # before the part lies on an unused cycle; linked: no vertex of the
+    # enclosing part does.  frames saves each enclosing part with the
+    # step out of it.
+    frames = []
     path = []
-    # weight[i]: the labeled trails that path[:i] stands for
     weight = [1]
-    found = []
-    steps = dead_ends = maximal = 0
+    mult = 1
+    clean = linked = True
+    roots = found = []
+    on_trail = []
+    steps = dead_ends = gained = steps0 = dead0 = 0
     exhausted = iter(())
     for first in range(nc):
         tail = source[first]
-        home = comp[tail]
         visits[tail] += 1
         on_trail.append(tail)
         # iters[i] yields the classes that may follow path[:i]
@@ -375,26 +426,49 @@ def _class_paths(quiver):
                 k = left[c]
                 # a trail that leaves the tail's component never uses
                 # the tail's unused in-arrows: no dead end lies below
-                if not k or comp[target[c]] != home and free_in[tail]:
+                if not k or cross[c] and free_in[tail]:
                     continue
                 trails = weight[-1] * k
                 steps += trails
                 if steps > budget:
                     # the (budget + 1)-th labeled trail lies in this step
+                    maximal = sum(f[7] for f in frames if f[4]) + (gained if clean else 0)
                     raise LimitError(
                         "maximal_paths: %d extension steps (budget %d), %d dead ends,"
                         " %d maximal so far, %d edges"
                         % (budget + 1, budget, dead_ends, maximal, n)
                     )
                 v, w = source[c], target[c]
+                if cross[c]:
+                    below = counts.get(w)
+                    if below is not None and steps + trails * below[0] <= budget:
+                        steps += trails * below[0]
+                        dead_ends += trails * below[1]
+                        if below[2] and _off_unused_cycles(on_trail, free_out, free_in, out_of, target, left):
+                            found.append((tuple(path) + (c,), trails, w))
+                            gained += trails * below[2]
+                        continue
+                    # the first step into w opens a part
+                    frames.append((c, path, weight, mult, clean, linked, found, gained, steps0, dead0, on_trail))
+                    linked = _off_unused_cycles(on_trail, free_out, free_in, out_of, target, left)
+                    clean = clean and linked
+                    path = []
+                    weight = [trails]
+                    mult = trails
+                    found = []
+                    gained = 0
+                    steps0 = steps
+                    dead0 = dead_ends
+                    on_trail = []
+                else:
+                    path.append(c)
+                    weight.append(trails)
                 left[c] = k - 1
                 free_out[v] -= 1
                 free_in[w] -= 1
                 if not visits[w]:
                     on_trail.append(w)
                 visits[w] += 1
-                path.append(c)
-                weight.append(trails)
                 if free_out[w]:
                     iters.append(iter(out_of[w]))
                     break
@@ -408,25 +482,40 @@ def _class_paths(quiver):
                     if free_out[u] and free_in[u] and _on_unused_cycle(u, out_of, target, left):
                         break
                 else:
-                    found.append((tuple(path), trails))
-                    maximal += trails
+                    found.append((tuple(path), trails, None))
+                    gained += trails
                 break
             else:
                 iters.pop()
                 if path:
                     c = path.pop()
                     weight.pop()
-                    v, w = source[c], target[c]
+                    w = target[c]
                     visits[w] -= 1
                     if not visits[w]:
                         on_trail.pop()
-                    free_in[w] += 1
-                    free_out[v] += 1
-                    left[c] += 1
+                elif frames:
+                    # the part below w is done: record it per unit weight
+                    # and go back to the part that stepped into it
+                    w = target[frames[-1][0]]
+                    kept = gained // mult
+                    entries[w] = [(p, t // mult, x) for p, t, x in found]
+                    counts[w] = ((steps - steps0) // mult, (dead_ends - dead0) // mult, kept)
+                    trails, part_linked = mult, linked
+                    c, path, weight, mult, clean, linked, found, gained, steps0, dead0, on_trail = frames.pop()
+                    visits[w] = 0
+                    if kept and part_linked:
+                        found.append((tuple(path) + (c,), trails, w))
+                        gained += trails * kept
+                else:
+                    # back before the first step: this root is done
+                    break
+                free_in[w] += 1
+                free_out[source[c]] += 1
+                left[c] += 1
         visits[tail] -= 1
         on_trail.pop()
-    found.sort()
-    return members, found
+    return members, roots, entries
 
 
 def _components(out_of, target):
@@ -492,6 +581,14 @@ def _on_unused_cycle(v, out_of, target, left):
     return False
 
 
+def _off_unused_cycles(vertices, free_out, free_in, out_of, target, left):
+    """Whether no vertex of vertices lies on a closed trail of unused arrows."""
+    for u in vertices:
+        if free_out[u] and free_in[u] and _on_unused_cycle(u, out_of, target, left):
+            return False
+    return True
+
+
 def edge_char_polynomial(quiver):
     """Sum over edges of det(t*I - action matrix).
 
@@ -533,18 +630,24 @@ def path_polynomials(quiver):
     The sum runs over maximal class paths (see maximal_paths): all the
     labeled paths of a class path have the same product and length, so
     its terms count once per labeled path, times its weight.  Each
-    distinct matrix gets an id, once per call, and the product of a
-    class matrix with a prefix product is formed once per pair of ids;
-    the sorted class paths share prefixes, whose product ids stay on a
-    stack.  Weights are tallied per (product, length), then char_poly
-    runs once per distinct product, its terms shifted by s^length.  The
-    entry polynomial is linear in the matrix, so the matrix polynomial
-    takes one entry polynomial of the weighted sum of the products of
-    each length.
+    distinct matrix gets an id, once per call, and the product of two
+    ids is formed once per pair.  Weights are tallied per (product,
+    length): once per entry for the paths that continue from it (see
+    _class_paths), then per root trail, where a trail that ends with a
+    step into an entry takes each of the entry's (product, length)
+    tallies times its own product, length and weight.  The trails of a
+    list come in the order of the search, so neighbours share prefixes,
+    whose product ids stay on a stack.  Then char_poly runs once per
+    distinct product, its terms shifted by s^length.  The entry
+    polynomial is linear in the matrix, so the matrix polynomial takes
+    one entry polynomial of the weighted sum of the products of each
+    length.  The search and its budget are those of maximal_paths: the
+    budget counts the labeled trails the search would take without
+    reuse.
     """
     m = quiver.modulus
     labels = quiver.labels
-    members, found = _class_paths(quiver)
+    members, roots, entries = _class_paths(quiver)
     ids = {}
     mats = []  # mats[i]: the matrix with id i, as a tuple of rows
 
@@ -556,33 +659,50 @@ def path_polynomials(quiver):
             mats.append(key)
         return i
 
+    products = {}  # (id, id) -> the id of their product
+
+    def times(a, b):
+        # None stands for the empty product
+        if a is None:
+            return b
+        p = products.get((a, b))
+        if p is None:
+            p = products[a, b] = intern(mat_mul(mats[a], mats[b]))
+        return p
+
     cls = [intern(quiver.edges[es[0]][2]) for es in members]
-    products = {}  # (class matrix id, prefix product id) -> product id
-    tally = {}  # (product id, length) -> labeled paths
-    prev = ()
-    prefix = []  # prefix[i]: the product id of the first i + 1 classes of prev
-    for path, weight in found:
-        shared = 0
-        for a, b in zip(prev, path):
-            if a != b:
-                break
-            shared += 1
-        del prefix[shared:]
-        for c in path[shared:]:
-            p = cls[c]
-            if prefix:
-                pair = (p, prefix[-1])
-                p = products.get(pair)
-                if p is None:
-                    p = products[pair] = intern(mat_mul(mats[pair[0]], mats[pair[1]]))
-            prefix.append(p)
-        prev = path
-        key = (prefix[-1], len(path))
-        tally[key] = tally.get(key, 0) + weight
+    tallies = {}  # entry -> {(product id, length): labeled paths below it}
+
+    def tally(found):
+        out = {}
+        prev = ()
+        prefix = []  # prefix[i]: the product id of the first i + 1 classes of prev
+        for path, weight, at in found:
+            shared = 0
+            for a, b in zip(prev, path):
+                if a != b:
+                    break
+                shared += 1
+            del prefix[shared:]
+            for c in path[shared:]:
+                prefix.append(times(cls[c], prefix[-1]) if prefix else cls[c])
+            prev = path
+            p = prefix[-1] if prefix else None
+            if at is None:
+                key = (p, len(path))
+                out[key] = out.get(key, 0) + weight
+            else:
+                for (q, length), count in tallies[at].items():
+                    key = (times(q, p), len(path) + length)
+                    out[key] = out.get(key, 0) + weight * count
+        return out
+
+    for at, found in entries.items():
+        tallies[at] = tally(found)
     chi = {}
     sums = {}  # length -> weighted sum of the products of that length
     chars = {}
-    for (p, length), weight in tally.items():
+    for (p, length), weight in tally(roots).items():
         terms = chars.get(p)
         if terms is None:
             terms = chars[p] = char_poly(mats[p]).terms

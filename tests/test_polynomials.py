@@ -478,14 +478,121 @@ def test_search_never_steps_out_of_the_tails_component(monkeypatch):
         maximal_paths(q)
 
 
+def block_chain_quiver(rng):
+    # 2 to 4 strongly connected blocks of 1 or 2 vertices (a two-cycle,
+    # or a single vertex with or without a loop), each joined to later
+    # blocks by one-way arrows, so that trails with different prefixes
+    # step into the same vertex; every arrow may come as two parallel
+    # copies, and all of them share two matrices
+    mats = [random_matrix(rng) for _ in range(2)]
+    blocks = []
+    for _ in range(rng.randint(2, 4)):
+        start = sum(map(len, blocks))
+        blocks.append(range(start, start + rng.randint(1, 2)))
+    arrows = []
+    for block in blocks:
+        a, b = block[0], block[-1]
+        if a != b:
+            arrows += [(a, b), (b, a)]
+        elif rng.random() < 0.5:
+            arrows.append((a, a))
+    for i, block in enumerate(blocks[:-1]):
+        for _ in range(rng.randint(1, 2)):
+            later = blocks[rng.randint(i + 1, len(blocks) - 1)]
+            arrows.append((rng.choice(block), rng.choice(later)))
+    edges = []
+    for arrow in arrows:
+        edges += [arrow + (rng.choice(mats),)] * rng.choice((1, 1, 2))
+    return quiver_of(edges, labels=[0, 1], modulus=3)
+
+
+def test_entry_reuse_matches_reference_on_block_chains(monkeypatch):
+    rng = random.Random(21)
+    reused = 0
+    for _ in range(150):
+        q = block_chain_quiver(rng)
+        assert_matches_reference(q)
+        steps = reference_taken_trail_count(q)
+        monkeypatch.setattr(polynomials, "STEP_BUDGET", steps)
+        path_polynomials(q)
+        monkeypatch.setattr(polynomials, "STEP_BUDGET", steps - 1)
+        with pytest.raises(LimitError, match="^maximal_paths: %d extension steps " % steps):
+            maximal_paths(q)
+        monkeypatch.undo()
+        _, roots, entries = polynomials._class_paths(q)
+        named = [at for found in (roots, *entries.values()) for _, _, at in found if at is not None]
+        reused += len(named) > len(set(named))
+    # most of these quivers name some entry from two trails
+    assert reused > 75
+
+
+def test_budget_trips_inside_a_reused_entry(monkeypatch):
+    # vertices 0 and 1 feed the two-cycle 2-3 (1 by two parallel
+    # arrows), and 2 and 3 feed the loop at 4: the first root records
+    # the search below 2 and below 4, and the later trails into them
+    # reuse it until a reuse would pass the budget
+    q = quiver_of([(0, 2, None), (1, 2, None), (1, 2, None), (2, 3, None), (3, 2, None),
+                   (3, 4, None), (2, 4, None), (4, 4, None)])
+    steps = reference_taken_trail_count(q)
+    assert steps == 34
+    monkeypatch.setattr(polynomials, "STEP_BUDGET", steps)
+    assert maximal_paths(q) == reference_maximal_paths(q)
+    monkeypatch.setattr(polynomials, "STEP_BUDGET", steps - 1)
+    with pytest.raises(LimitError, match="^maximal_paths: 34 extension steps "):
+        maximal_paths(q)
+    # the text the search gave before any reuse: the budget trips below
+    # the second root's step into 2 and that trail's step into 4
+    monkeypatch.setattr(polynomials, "STEP_BUDGET", 22)
+    with pytest.raises(LimitError) as exc:
+        maximal_paths(q)
+    assert str(exc.value) == (
+        "maximal_paths: 23 extension steps (budget 22), 5 dead ends,"
+        " 4 maximal so far, 8 edges")
+
+
+def test_budget_trips_below_a_prefix_on_an_unused_cycle(monkeypatch):
+    # 0 feeds 1 on the two-cycle 1-2, and 1 feeds the loop at 3, which
+    # feeds 4: the trail 0-1 that steps into 3 leaves 1 on an unused
+    # cycle, so the dead ends below 3 are kept for 3 but not counted as
+    # maximal for that trail; the text is the one the search gave before
+    # any reuse
+    q = quiver_of([(0, 1, None), (1, 2, None), (2, 1, None), (1, 3, None), (3, 3, None),
+                   (3, 4, None)])
+    monkeypatch.setattr(polynomials, "STEP_BUDGET", 10)
+    with pytest.raises(LimitError) as exc:
+        maximal_paths(q)
+    assert str(exc.value) == (
+        "maximal_paths: 11 extension steps (budget 10), 3 dead ends,"
+        " 1 maximal so far, 6 edges")
+
+
+def test_a_long_one_way_chain_needs_no_recursion():
+    # every arrow steps into another component, so the parts nest 2999
+    # deep
+    q = quiver_of([(v, v + 1, [[1, 1], [0, 1]]) for v in range(2999)], labels=[0, 1], modulus=3)
+    assert maximal_paths(q) == [tuple(range(2999))]
+    chi, pm = path_polynomials(q)
+    assert chi.render() == "s^2999t^2-2s^2999t+s^2999"
+    assert pm.render() == "xyz^2999+2999xz^2999+z^2999"
+
+
+def class_search_weight(roots, entries):
+    """The labeled maximal paths that _class_paths stands for: the weight
+    of each root trail times the paths that continue from its entry."""
+    below = {}
+    for at, found in entries.items():
+        below[at] = sum(weight * below.get(x, 1) for _, weight, x in found)
+    return sum(weight * below.get(x, 1) for _, weight, x in roots)
+
+
 def test_class_search_counts_the_pool_maximal_paths():
     # every 2nd quiver of the benchmark's pool, whose entries record the
     # maximal paths the unpruned search found
     pool = json.loads(POOL_FILE.read_text())
     endos = [tuple(e) for e in pool["endos"]]
     for link, a, b, paths, *_ in pool["entries"][::2]:
-        _, found = polynomials._class_paths(core4_quiver(link, (endos[a], endos[b])))
-        assert sum(weight for _, weight in found) == paths
+        _, roots, entries = polynomials._class_paths(core4_quiver(link, (endos[a], endos[b])))
+        assert class_search_weight(roots, entries) == paths
 
 
 def test_pool_characteristic_polynomials_factor_through_the_vectors():
