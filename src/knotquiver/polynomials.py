@@ -431,7 +431,9 @@ def _class_paths(quiver):
                 trails = weight[-1] * k
                 steps += trails
                 if steps > budget:
-                    # the (budget + 1)-th labeled trail lies in this step
+                    # the (budget + 1)-th labeled trail lies in this step;
+                    # the maximal paths so far are the kept paths (gained)
+                    # of the open parts that are clean
                     maximal = sum(f[7] for f in frames if f[4]) + (gained if clean else 0)
                     raise LimitError(
                         "maximal_paths: %d extension steps (budget %d), %d dead ends,"
