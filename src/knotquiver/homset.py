@@ -16,10 +16,20 @@ left to check at the crossings it completes.  Each crossing belongs to
 exactly one level and is verified there once.  A crossing that fires
 with two known semiarcs derives the other two from one index into two
 flat tables of the same shape (see _tables), so it costs one index
-computation, not two.  The search assigns each free semiarc every
-element in turn and does flat table lookups; a level writes the same
-semiarcs on every visit, so backtracking undoes nothing.
+computation, not two.
+
+Every partial coloring of a level runs the same straight-line program,
+so for algebras of order up to 15 the search runs a whole level at
+once (see _lanes): each semiarc is a column of one byte per partial
+coloring, the pair index of a lookup is one byte, and a derive step or
+a check is a few C-level calls on whole columns, bytes.translate among
+them.  Above order 15 a depth-first walk (see _walk) runs the plan one
+partial coloring at a time.  Both iterate over the levels, so a plan
+of thousands of levels needs no recursion.
 """
+
+from itertools import compress
+from operator import itemgetter
 
 # the nine lookup tables of _tables, in this order: the six operations,
 # then the second table of the fused firings from (p1, p2) and from
@@ -118,20 +128,31 @@ def _plan(diagram):
     return plan
 
 
+# up to order 15 the index x * 16 + y of a pair (x, y) is one byte
+BYTE_STRIDE = 16
+
+
+def _stride(n):
+    """Table stride for an algebra of order n: a pair (x, y) sits at
+    x * stride + y."""
+    return BYTE_STRIDE if n < BYTE_STRIDE else n + 1
+
+
 def _tables(bq):
-    """The nine tables of the plan as flat lists: table[x * (n + 1) + y].
+    """The nine tables of the plan, flat: table[x * _stride(n) + y].
 
     The six operations under, over, under_inv, over_inv and the two
     halves of through_inv, then the second tables of the fused firings:
     over(y, x), under(y, over_inv(x, y)) and over(y, under_inv(x, y)).
     All nine are filled in one pass over the input pairs (a, b) of the
-    operation tables.  Built once per Biquandle instance and kept on it,
-    like the cochain complex; the tables are not expected to change
-    after construction.
+    operation tables; up to order 15 they are 256-byte bytes objects,
+    ready for bytes.translate, and lists above.  Built once per
+    Biquandle instance and kept on it, like the cochain complex; the
+    tables are not expected to change after construction.
     """
     tables = getattr(bq, "_coloring_tables", None)
     if tables is None:
-        size = bq.n + 1
+        size = _stride(bq.n)
         tables = [[0] * (size * size) for _ in range(9)]
         (under, over, under_inv, over_inv, through_inv_1, through_inv_2,
          over_swap, under_at_over_inv, over_at_under_inv) = tables
@@ -157,21 +178,164 @@ def _tables(bq):
                 through_inv_2[u * size + o_ba] = b
                 under_at_over_inv[o * size + b] = u_ba
                 over_at_under_inv[u * size + b] = o_ba
+        if size == BYTE_STRIDE:
+            tables = [bytes(table) for table in tables]
         bq._coloring_tables = tables
     return tables
+
+
+# most lanes one chunk of a level holds; a level whose parents would
+# make more is searched in consecutive chunks of them
+LANE_CAP = 1 << 12
+
+# byte 0 -> 1, every other byte -> 0: marks the lanes no check failed in
+_ZERO_LANES = bytes([1]) + bytes(255)
+
+
+def _getter(idx):
+    # a function reading the entries at idx from a sequence, as a tuple
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*idx)
+
+
+def _lanes(plan, n, n_semiarcs):
+    """Colorings by a level-synchronous search, for orders up to 15.
+
+    A lane is one partial coloring, and a semiarc's column holds its
+    color in every lane, one byte per lane.  Level k makes n lanes from
+    each lane that survived level k - 1, one per color of its free
+    semiarc, in order; each derive step turns the columns of p and q
+    into the byte indices p * 16 + q and translates them through its
+    tables, and each check compares a translated column with its
+    target's.  The lanes whose checks all hold survive.  A column is
+    carried into the next level only while a later level reads it; the
+    rest stay in their own level's lanes and are read once at the end,
+    through the survivors each level keeps.  A level whose lanes would
+    pass LANE_CAP takes its parents in consecutive chunks, one after the
+    other down to the last level, which keeps the lexicographic order.
+    """
+    depth = len(plan)
+    # the last level that reads each semiarc
+    last = [0] * n_semiarcs
+    for level, (_, derive, check) in enumerate(plan):
+        for _, _, _, _, p, q in derive:
+            last[p] = last[q] = level
+        for _, t, p, q in check:
+            last[t] = last[p] = last[q] = level
+    pattern = bytes(range(1, n + 1))
+    chunk = max(1, LANE_CAP // n)
+    from_bytes = int.from_bytes
+    out = []
+    # per level of the current chunk: (its own columns, its surviving
+    # lanes or None for all, the first parent of the chunk)
+    path = []
+    # chunks to search: (level, carried columns, parent count, first parent)
+    pending = [(0, {}, 1, 0)]
+    while pending:
+        level, carried, parents, start = pending.pop()
+        stop = min(parents, start + chunk)
+        if stop < parents:
+            pending.append((level, carried, parents, stop))
+        width = (stop - start) * n
+        free, derive, check = plan[level]
+        cols = {free: pattern * (stop - start)}
+        for s, col in carried.items():
+            wide = bytearray(width)
+            part = col[start:stop]
+            for k in range(n):
+                wide[k::n] = part
+            cols[s] = wide
+        ints = {s: from_bytes(col, "little") for s, col in cols.items()}
+        for first, second, s, t, p, q in derive:
+            idx = ((ints[p] << 4) | ints[q]).to_bytes(width, "little")
+            cols[s] = col = idx.translate(first)
+            ints[s] = from_bytes(col, "little")
+            if s != t:
+                cols[t] = col = idx.translate(second)
+                ints[t] = from_bytes(col, "little")
+        bad = 0
+        for table, t, p, q in check:
+            idx = ((ints[p] << 4) | ints[q]).to_bytes(width, "little")
+            bad |= ints[t] ^ from_bytes(idx.translate(table), "little")
+        survivors = None
+        if bad:
+            flags = bad.to_bytes(width, "little").translate(_ZERO_LANES)
+            survivors = list(compress(range(width), flags))
+            if not survivors:
+                continue
+        del path[level:]
+        path.append(([(s, col) for s, col in cols.items() if s not in carried],
+                     survivors, start))
+        if level + 1 < depth:
+            live = [s for s in cols if last[s] > level]
+            if survivors is None:
+                nxt = {s: cols[s] for s in live}
+            else:
+                get = _getter(survivors)
+                nxt = {s: bytes(get(cols[s])) for s in live}
+            pending.append((level + 1, nxt, len(survivors) if survivors else width, 0))
+            continue
+        # read every column once, following each surviving lane up
+        lanes = survivors if survivors is not None else range(width)
+        colors = [None] * n_semiarcs
+        for level in range(depth - 1, -1, -1):
+            own_cols, _, first_parent = path[level]
+            get = _getter(lanes)
+            for s, col in own_cols:
+                colors[s] = get(col)
+            if level:
+                up = path[level - 1][1]
+                lanes = [first_parent + j // n for j in lanes]
+                if up is not None:
+                    lanes = [up[i] for i in lanes]
+        out.extend(zip(*colors))
+    return out
+
+
+def _walk(plan, size, elements, n_semiarcs):
+    """Colorings by a depth-first walk, one partial coloring at a time:
+    each level assigns every element to its free semiarc in turn,
+    derives what that forces and tests its checks before going deeper.
+    A level writes the same semiarcs on every visit, so stepping back
+    undoes nothing."""
+    depth = len(plan)
+    color = [0] * n_semiarcs
+    out = []
+    values = [iter(elements)] + [None] * depth
+    level = 0
+    while level >= 0:
+        v = next(values[level], 0)
+        if not v:
+            level -= 1
+            continue
+        free, derive, check = plan[level]
+        color[free] = v
+        for first, second, s, t, p, q in derive:
+            i = color[p] * size + color[q]
+            color[s] = first[i]
+            color[t] = second[i]
+        for tab, t, p, q in check:
+            if color[t] != tab[color[p] * size + color[q]]:
+                break
+        else:
+            if level + 1 == depth:
+                out.append(tuple(color))
+            else:
+                level += 1
+                values[level] = iter(elements)
+    return out
 
 
 def colorings(diagram, bq):
     """All colorings in lexicographic order.
 
-    Runs the plan of _plan: each level assigns every element to its free
-    semiarc, derives the semiarcs that choice forces, two per index
-    computation, and tests the level's check equations before going
-    deeper.  Derived semiarcs lie past the level's free one, so
-    colorings come out in lexicographic order of the free choices, which
-    is the lexicographic order of the tuples.
+    Runs the plan of _plan, by lanes for algebras of order up to 15 and
+    by a depth-first walk above.  Derived semiarcs lie past their
+    level's free one, so colorings come out in lexicographic order of
+    the free choices, which is the lexicographic order of the tuples.
     """
-    size = bq.n + 1
     tables = _tables(bq)
     plan = [
         (
@@ -181,30 +345,12 @@ def colorings(diagram, bq):
         )
         for free, derive, check in _plan(diagram)
     ]
-    depth = len(plan)
-    elements = bq.elements
-    color = [0] * diagram.n_semiarcs
-    out = []
-
-    def search(level):
-        if level == depth:
-            out.append(tuple(color))
-            return
-        free, derive, check = plan[level]
-        for v in elements:
-            color[free] = v
-            for first, second, s, t, p, q in derive:
-                i = color[p] * size + color[q]
-                color[s] = first[i]
-                color[t] = second[i]
-            for tab, t, p, q in check:
-                if color[t] != tab[color[p] * size + color[q]]:
-                    break
-            else:
-                search(level + 1)
-
-    search(0)
-    return out
+    if not plan:
+        return [()]
+    size = _stride(bq.n)
+    if size == BYTE_STRIDE:
+        return _lanes(plan, bq.n, diagram.n_semiarcs)
+    return _walk(plan, size, bq.elements, diagram.n_semiarcs)
 
 
 def counting_invariant(diagram, bq):

@@ -14,7 +14,7 @@ from knotquiver.algebra import core_cyclic, swap3
 from knotquiver.catalog import catalog_names, get_diagram
 from knotquiver.cli import load_algebra, main
 from knotquiver.cohomology import CoeffGroup, boundary_matrices, cocycle_invariant, is_cocycle
-from knotquiver.diagram import gauss_string, pd_string
+from knotquiver.diagram import braid_closure, gauss_string, pd_string
 from knotquiver.homset import counting_invariant
 from knotquiver.quiver import RepQuiver
 from knotquiver.polynomials import (
@@ -110,6 +110,17 @@ def test_homset_catalog_link(capsys):
     code, out, _ = run(capsys, "homset", "--link", "L4a1", "--quandle", "core-4")
     assert code == 0
     assert out.strip() == "colorings: 16"
+
+
+def test_homset_colors_a_plan_of_1200_levels(capsys):
+    # the closure of s1^2 s2^2 ... s1199^2: one plan level per component,
+    # colored by lanes under core-3 and by the depth-first walk under core-17
+    d = braid_closure([i for i in range(1, 1200) for _ in range(2)])
+    assert len(homset._plan(d)) == 1200
+    pd = pd_string(d)
+    for quandle, count in (("core-3", 3), ("core-17", 17)):
+        code, out, _ = run(capsys, "homset", "--link", pd, "--format", "pd", "--quandle", quandle)
+        assert (code, out) == (0, "colorings: %d\n" % count)
 
 
 def test_homset_inline_gauss(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -150,11 +151,22 @@ def test_coloring_lookups_built_once_per_algebra(monkeypatch):
     def rebuilt(*args):
         raise AssertionError("lookup rebuilt")
 
+    class Unread(list):
+        # an operation table that keeps its length but fails on any read
+        __iter__ = __getitem__ = rebuilt
+
+    # the nine tables are one pass over the operation tables; up to order
+    # 15 they are the byte tables the lanes translate through
+    tables = homset._tables(bq)
+    assert all(type(table) is bytes and len(table) == 256 for table in tables)
+    monkeypatch.setattr(bq, "under_table", Unread(bq.under_table))
+    monkeypatch.setattr(bq, "over_table", Unread(bq.over_table))
     monkeypatch.setattr(Biquandle, "through_inv", rebuilt)
     monkeypatch.setattr(homset, "pair_basis", rebuilt)
     assert [colorings(d, bq) for d in diagrams] == found
     assert [[chain_vector(d, bq, col) for col in cols]
             for d, cols in zip(diagrams, found)] == chains
+    assert all(a is b for a, b in zip(homset._tables(bq), tables))
 
 
 def test_push_forward():
@@ -239,6 +251,9 @@ ORACLE_ALGEBRAS = (
     "trivial-3",
 )
 SMALL_ALGEBRAS = ("swap3", "flip2", "core-3", "trivial-3")
+# the highest order whose pair index fits in one byte, and orders past it,
+# which the depth-first walk colors
+WIDE_ALGEBRAS = ("core-15", "core-16", "core-17", "alexander-17-3")
 
 
 def random_braid(rng, max_crossings=14):
@@ -262,7 +277,7 @@ def random_gauss_knot(rng, max_crossings):
     return parse_gauss(" ".join("%s%d%s" % (kind, k + 1, signs[k]) for kind, k in tokens))
 
 
-@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS + WIDE_ALGEBRAS)
 def test_colorings_match_reference_on_the_catalog(name):
     bq = builtin(name)
     for link in catalog_names():
@@ -284,6 +299,39 @@ def test_colorings_match_reference_on_random_virtual_knots():
         d = random_gauss_knot(rng, 6)
         bq = builtin(rng.choice(ORACLE_ALGEBRAS))
         assert colorings(d, bq) == reference_colorings(d, bq), (gauss_string(d), bq)
+
+
+@pytest.mark.parametrize("cap", (1, 7))
+def test_lane_chunks_keep_the_colorings_and_their_order(monkeypatch, cap):
+    rng = random.Random(13)
+    cases = [(random_braid(rng), builtin(rng.choice(ORACLE_ALGEBRAS))) for _ in range(100)]
+    found = [colorings(d, bq) for d, bq in cases]
+    monkeypatch.setattr(homset, "LANE_CAP", cap)
+    assert [colorings(d, bq) for d, bq in cases] == found
+
+
+def test_lane_memory_is_bounded_by_the_cap():
+    # under core-15 the closure of this 5-strand word reaches a level of
+    # 15^4 = 50,625 lanes; in chunks of at most LANE_CAP lanes the search
+    # peaks at about 0.45 MB, and in one chunk at 3.4 MB
+    rng = random.Random(5)
+    word = [rng.choice([1, 2, 3, 4, -1, -2, -3, -4]) for _ in range(20)]
+    d = braid_closure(word)
+    bq = builtin("core-15")
+    homset._tables(bq)
+    tracemalloc.start()
+    try:
+        found = colorings(d, bq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 15
+    assert peak < 1_000_000
+
+
+def test_empty_diagram_has_one_empty_coloring():
+    for name in ("swap3", "core-17"):
+        assert colorings(LinkDiagram([]), builtin(name)) == [()]
 
 
 def test_colorings_match_brute_force_on_small_diagrams():
@@ -351,7 +399,7 @@ def test_lookup_tables_match_the_operations(name):
     # every (x, y): each first table is one operation, and the second
     # table of each fused firing is its two single lookups in a row
     bq = builtin(name)
-    size = bq.n + 1
+    size = homset._stride(bq.n)
     tables = homset._tables(bq)
     for x in bq.elements:
         for y in bq.elements:
