@@ -123,6 +123,18 @@ def test_homset_colors_a_plan_of_1200_levels(capsys):
         assert (code, out) == (0, "colorings: %d\n" % count)
 
 
+@pytest.mark.parametrize("pd, message", [
+    ("Xp[1,2,3]", "crossing term 'Xp[1,2,3]' needs 4 labels"),
+    ("Xp[0,0,1,2] Xp[1,2,3,3]", "semiarc 0 used as input 2 times"),
+])
+def test_invariants_rejects_a_malformed_pd(capsys, pd, message):
+    code, out, err = run(
+        capsys, "invariants", "--link", pd, "--format", "pd",
+        "--quandle", "swap3", "--group", "3", "--cocycles", SWAP3_VECTORS,
+    )
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
 def test_homset_inline_gauss(capsys):
     code, out, _ = run(
         capsys, "homset",

@@ -49,6 +49,29 @@ def test_parse_pd_errors():
         parse_pd("Xp[0,0,1,2] Xp[1,2,3,3]")
 
 
+TREFOIL_PD = "Xp[0,7,1,4] Xp[6,1,7,2] Xp[2,5,3,6] Xp[4,3,5,0]"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty PD string"),
+    ("Xp[1,2,3]", "crossing term 'Xp[1,2,3]' needs 4 labels"),
+    ("Xp[1,-,2,3]", "bad crossing term 'Xp[1,-,2,3]'"),
+    ("Xq[1,2,3,4]", "unrecognized text in PD string: 'Xq[1'"),
+    (TREFOIL_PD + " junk", "unrecognized text in PD string: 'junk'"),
+    ("Xp[0,0,1,2] Xp[1,2,3,3]", "semiarc 0 used as input 2 times"),
+    # a bad term is named before any stray text, the first bad term first
+    ("junk Xp[1,2,3,4] Xp[1,2] Xp[x]", "crossing term 'Xp[1,2]' needs 4 labels"),
+    ("Xp[1,2,3,4,] Xp[1,2]", "bad crossing term 'Xp[1,2,3,4,]'"),
+    # a short term and a long one together hold 8 labels
+    ("Xp[1,2,3] Xp[4,3,4,1,2]", "crossing term 'Xp[1,2,3]' needs 4 labels"),
+    (" , ", "empty PD string"),
+])
+def test_parse_pd_error_texts(text, message):
+    with pytest.raises(ValidationError) as info:
+        parse_pd(text)
+    assert str(info.value) == message
+
+
 def test_parse_gauss_virtual_trefoil():
     d = virtual_trefoil()
     assert len(d.crossings) == 2
