@@ -29,7 +29,7 @@ from .algebra import Biquandle, builtin, check_axioms, endomorphisms
 from .catalog import catalog_names, get_diagram
 from .cohomology import CoeffGroup, check_length, h2_generators, is_cocycle, state_sum
 from .diagram import parse_gauss, parse_pd
-from .homset import chain_vector, colorings, counting_invariant
+from .homset import chain_vectors, colorings, counting_invariant
 from .polynomials import (
     LimitError,
     edge_char_polynomial,
@@ -197,7 +197,7 @@ def cmd_cocycle_invariant(args):
     bq = load_algebra(args.quandle)
     coeff = CoeffGroup.parse(args.group)
     vectors = load_cocycles(args, bq, coeff)
-    chains = [chain_vector(d, bq, col) for col in colorings(d, bq)]
+    chains = chain_vectors(d, bq, colorings(d, bq))
     rows = [
         ("phi_%d" % (i + 1), state_sum(coeff, vec, chains).render())
         for i, vec in enumerate(vectors)

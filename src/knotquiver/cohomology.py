@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .homset import chain_vector, colorings, pair_basis
+from .homset import chain_vectors, colorings, pair_basis
 from .intlinalg import rank_mod, snf
 from .polynomials import GroupExponentPolynomial
 
@@ -445,5 +445,5 @@ def state_sum(coeff, phi, chains):
 
 def cocycle_invariant(diagram, bq, coeff, phi):
     """State sum: one q^weight term per coloring."""
-    chains = [chain_vector(diagram, bq, col) for col in colorings(diagram, bq)]
+    chains = chain_vectors(diagram, bq, colorings(diagram, bq))
     return state_sum(coeff, phi, chains)

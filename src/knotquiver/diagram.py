@@ -37,15 +37,16 @@ PD string's.
 """
 
 import re
-from dataclasses import dataclass, replace
+from functools import partial
+from itertools import repeat
+from typing import NamedTuple
 
 
 class ValidationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     sign: int
     under_in: int
     over_in: int
@@ -143,42 +144,72 @@ def validate(diagram):
     return problems
 
 
-def _compress_labels(raw_crossings, name):
-    seen = {}
-    for sign, a, b, c, d in raw_crossings:
-        for label in (a, b, c, d):
-            if label not in seen:
-                seen[label] = len(seen)
-    out = [
-        Crossing(sign, seen[a], seen[b], seen[c], seen[d])
-        for sign, a, b, c, d in raw_crossings
-    ]
-    return LinkDiagram(out, name=name)
+# tuple.__new__ builds a Crossing without the Python-level __new__ of a
+# NamedTuple, so a batch of them is built at the speed of plain tuples
+_crossing_of = partial(tuple.__new__, Crossing)
 
 
-_PD_TERM = re.compile(r"X([pm])\s*\[\s*([-\d\s,]*?)\s*\]")
+def _relabelled(signs, labels, name):
+    """The diagram of crossings given by their signs and their labels,
+    four per crossing in slot order, with the labels compressed to
+    0..k-1 in order of first appearance.
+
+    The diagram is valid exactly when the semiarcs 0..2c-1 occur once
+    each among the inputs and once each among the outputs; validate
+    runs only when that fails, to name the first fault.
+    """
+    index = dict(zip(dict.fromkeys(labels), range(len(labels))))
+    slots = list(map(index.__getitem__, labels))
+    crossings = list(map(_crossing_of, zip(
+        signs, slots[0::4], slots[1::4], slots[2::4], slots[3::4])))
+    semiarcs = list(range(len(slots) // 2))
+    valid = (sorted(slots[0::4] + slots[1::4]) == semiarcs
+             and sorted(slots[2::4] + slots[3::4]) == semiarcs)
+    return LinkDiagram(crossings, name=name, check=not valid)
+
+
+# the split keeps the sign letter and the body of every term; the body
+# runs up to the first "]" since "]" is not one of its characters
+_PD_TERM = re.compile(r"X([pm])\s*\[([-\d\s,]*)\]")
+_PD_SIGN = {"p": 1, "m": -1}
+
+
+def _bad_pd_term(text):
+    """The error for the first term of a PD string whose body is not four
+    comma-separated integers."""
+    for m in _PD_TERM.finditer(text):
+        fields = m.group(2).split(",")
+        try:
+            list(map(int, fields))
+        except ValueError:
+            return ValidationError("bad crossing term %r" % m.group(0))
+        if len(fields) != 4:
+            return ValidationError("crossing term %r needs 4 labels" % m.group(0))
+    raise AssertionError("no bad term in %r" % text)
 
 
 def parse_pd(text, name=None):
-    """Parse a PD string of Xp[...]/Xm[...] terms."""
-    raw = []
-    consumed = 0
-    for m in _PD_TERM.finditer(text):
-        consumed += 1
-        sign = 1 if m.group(1) == "p" else -1
+    """Parse a PD string of Xp[...]/Xm[...] terms.
+
+    One split yields the text between the terms and each term's sign
+    and body, and one int conversion reads every label.  Only a string
+    that fails a check is read again, to name its first bad term.
+    """
+    parts = _PD_TERM.split(text)
+    bodies = parts[2::3]
+    if bodies:
         try:
-            parts = [int(p) for p in m.group(2).split(",")]
+            labels = list(map(int, ",".join(bodies).split(",")))
         except ValueError:
-            raise ValidationError("bad crossing term %r" % m.group(0))
-        if len(parts) != 4:
-            raise ValidationError("crossing term %r needs 4 labels" % m.group(0))
-        raw.append((sign, *parts))
-    leftover = _PD_TERM.sub("", text).replace(",", " ").strip()
+            labels = None
+        if labels is None or list(map(str.count, bodies, repeat(","))) != [3] * len(bodies):
+            raise _bad_pd_term(text)
+    leftover = "".join(parts[::3]).replace(",", " ").strip()
     if leftover:
         raise ValidationError("unrecognized text in PD string: %r" % leftover.split()[0])
-    if not raw:
+    if not bodies:
         raise ValidationError("empty PD string")
-    return _compress_labels(raw, name)
+    return _relabelled(map(_PD_SIGN.__getitem__, parts[1::3]), labels, name)
 
 
 def braid_closure(word, strands=None, name=None):
@@ -213,9 +244,9 @@ def braid_closure(word, strands=None, name=None):
             current[i], current[i + 1] = out1, out2
     # closing the braid identifies each final label with its initial one
     relabel = {current[p]: p for p in range(k)}
-    closed = [(sign, *(relabel.get(s, s) for s in arcs)) for sign, *arcs in raw]
+    labels = [relabel.get(s, s) for _, *arcs in raw for s in arcs]
     word_tag = "".join(("+" if x > 0 else "-") + str(abs(x)) for x in word)
-    return _compress_labels(closed, name or "braid" + word_tag)
+    return _relabelled([sign for sign, *_ in raw], labels, name or "braid" + word_tag)
 
 
 def pd_string(diagram):
@@ -336,10 +367,10 @@ def _retarget_input(crossings, old_arc, new_arc):
     # redirect the unique crossing consuming old_arc to consume new_arc
     for i, c in enumerate(crossings):
         if c.under_in == old_arc:
-            crossings[i] = replace(c, under_in=new_arc)
+            crossings[i] = c._replace(under_in=new_arc)
             return
         if c.over_in == old_arc:
-            crossings[i] = replace(c, over_in=new_arc)
+            crossings[i] = c._replace(over_in=new_arc)
             return
     raise ValueError("no crossing consumes semiarc %d" % old_arc)
 

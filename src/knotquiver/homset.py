@@ -380,16 +380,43 @@ def chain_vector(diagram, bq, coloring):
     negative ones -(under_out color, over_in color); pairs with equal
     entries are degenerate and dropped.
     """
+    return chain_vectors(diagram, bq, [coloring])[0]
+
+
+def _reader(slots):
+    """A function from a coloring to its colors at slots, as a sequence."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    # itemgetter of one slot returns a bare color, and it needs a slot
+    return lambda col: [col[s] for s in slots]
+
+
+def chain_vectors(diagram, bq, cols):
+    """The chain_vector of every coloring in cols, in order.
+
+    The crossings are read once, into the two semiarcs each one pairs
+    and its sign.  A coloring then costs two itemgetter reads and, per
+    crossing, one lookup in a flat table over x * (n + 1) + y that sends
+    a degenerate pair to a spare last entry, dropped at the end.
+    """
     index = _pair_index(bq)
-    vec = [0] * len(index)
-    for c in diagram.crossings:
-        if c.sign > 0:
-            pair = (coloring[c.under_in], coloring[c.over_out])
-        else:
-            pair = (coloring[c.under_out], coloring[c.over_in])
-        if pair[0] != pair[1]:
-            vec[index[pair]] += c.sign
-    return vec
+    size = len(index)
+    stride = bq.n + 1
+    flat = [size] * (stride * stride)
+    for (x, y), k in index.items():
+        flat[x * stride + y] = k
+    crossings = diagram.crossings
+    first = _reader([c.under_in if c.sign > 0 else c.under_out for c in crossings])
+    second = _reader([c.over_out if c.sign > 0 else c.over_in for c in crossings])
+    signs = [c.sign for c in crossings]
+    vectors = []
+    for col in cols:
+        vec = [0] * (size + 1)
+        for x, y, sign in zip(first(col), second(col), signs):
+            vec[flat[x * stride + y]] += sign
+        del vec[size]
+        vectors.append(vec)
+    return vectors
 
 
 def push_forward(coloring, endo):

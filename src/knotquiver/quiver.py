@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .algebra import Biquandle, is_homomorphism
 from .cohomology import CoeffGroup, evaluate
-from .homset import chain_vector, colorings, pair_basis, push_forward
+from .homset import chain_vectors, colorings, pair_basis, push_forward
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def build_representation(diagram, data):
     if not m:
         raise ValueError("representation needs a finite coefficient group")
     cols, arrows = build_coloring_quiver(diagram, data.algebra, data.endos)
-    chains = [chain_vector(diagram, data.algebra, col) for col in cols]
+    chains = chain_vectors(diagram, data.algebra, cols)
     values = [
         [evaluate(data.coeff, phi, chain) for phi in data.vectors] for chain in chains
     ]

@@ -1,10 +1,12 @@
 import hashlib
 import random
+import re
 
 import pytest
 
 from knotquiver import braid_closure
 from knotquiver.algebra import core_cyclic
+from knotquiver.catalog import catalog_names, get_diagram
 from knotquiver.diagram import (
     Crossing,
     LinkDiagram,
@@ -70,6 +72,153 @@ def test_parse_pd_error_texts(text, message):
     with pytest.raises(ValidationError) as info:
         parse_pd(text)
     assert str(info.value) == message
+
+
+# the term-by-term parser that parse_pd replaced, kept as its oracle
+_REFERENCE_TERM = re.compile(r"X([pm])\s*\[\s*([-\d\s,]*?)\s*\]")
+
+
+def reference_parse_pd(text, name=None):
+    raw = []
+    for m in _REFERENCE_TERM.finditer(text):
+        sign = 1 if m.group(1) == "p" else -1
+        try:
+            parts = [int(p) for p in m.group(2).split(",")]
+        except ValueError:
+            raise ValidationError("bad crossing term %r" % m.group(0))
+        if len(parts) != 4:
+            raise ValidationError("crossing term %r needs 4 labels" % m.group(0))
+        raw.append((sign, *parts))
+    leftover = _REFERENCE_TERM.sub("", text).replace(",", " ").strip()
+    if leftover:
+        raise ValidationError("unrecognized text in PD string: %r" % leftover.split()[0])
+    if not raw:
+        raise ValidationError("empty PD string")
+    seen = {}
+    for sign, a, b, c, d in raw:
+        for label in (a, b, c, d):
+            if label not in seen:
+                seen[label] = len(seen)
+    out = [
+        Crossing(sign, seen[a], seen[b], seen[c], seen[d])
+        for sign, a, b, c, d in raw
+    ]
+    return LinkDiagram(out, name=name)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text).crossings
+    except ValidationError as exc:
+        return "error: %s" % exc
+
+
+SPACES = ["", " ", "  ", "\t", "\n"]
+SEPARATORS = [" ", ",", ", ", " , ", ",,", "\n", "\t", ""]
+
+
+def random_braid_word(rng):
+    strands = rng.randint(2, 5)
+    word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+            for _ in range(rng.randint(1, 40))]
+    return word + [k for k in range(1, strands) if k not in map(abs, word)]
+
+
+def restyled_pd(rng, d):
+    """A PD string of d with fresh labels, shuffled terms and varied
+    whitespace and separators."""
+    pool = rng.sample(range(-10**4, 10**4), d.n_semiarcs)
+    if rng.random() < 0.3:
+        pool = [x * 10**30 + rng.randint(-9, 9) for x in pool]
+    terms = []
+    for c in d.crossings:
+        labels = [pool[s] for s in (c.under_in, c.over_in, c.under_out, c.over_out)]
+        body = ",".join(rng.choice(SPACES) + str(x) + rng.choice(SPACES) for x in labels)
+        terms.append("X%s%s[%s]" % ("p" if c.sign > 0 else "m", rng.choice(SPACES), body))
+    rng.shuffle(terms)
+    text = rng.choice(SPACES)
+    for term in terms:
+        text += term + rng.choice(SEPARATORS)
+    return text
+
+
+def corrupted(rng, text):
+    """text with one character dropped, inserted or replaced."""
+    at = rng.randrange(len(text) + 1)
+    char = rng.choice("Xpm[]-,5 x")
+    kind = rng.randrange(3)
+    if kind == 0:
+        return text[:at] + text[at + 1:]
+    if kind == 1:
+        return text[:at] + char + text[at:]
+    return text[:at] + char + text[at + 1:]
+
+
+def test_parse_pd_matches_the_term_by_term_parser():
+    rng = random.Random(23)
+    messages = []
+    for _ in range(300):
+        text = restyled_pd(rng, braid_closure(random_braid_word(rng)))
+        if rng.random() < 0.5:
+            text = corrupted(rng, text)
+        expected = parse_outcome(reference_parse_pd, text)
+        assert parse_outcome(parse_pd, text) == expected, text
+        if isinstance(expected, str):
+            messages.append(expected)
+    # the corruptions reach every kind of error but the empty string
+    for kind in ("unrecognized text", "bad crossing term", "needs 4 labels", "uses semiarc"):
+        assert any(kind in message for message in messages)
+
+
+def test_parse_pd_rejects_exactly_what_validate_rejects():
+    rng = random.Random(29)
+    rejected = 0
+    for _ in range(300):
+        d = braid_closure(random_braid_word(rng))
+        crossings = list(d.crossings)
+        k = rng.randrange(len(crossings))
+        slot = rng.randrange(1, 5)
+        values = list(crossings[k])
+        values[slot] = rng.randrange(d.n_semiarcs + 1)
+        crossings[k] = Crossing(*values)
+        problems = validate(LinkDiagram(crossings, check=False))
+        text = pd_string(LinkDiagram(crossings, check=False))
+        outcome = parse_outcome(parse_pd, text)
+        assert outcome == parse_outcome(reference_parse_pd, text)
+        assert isinstance(outcome, str) == bool(problems)
+        rejected += bool(problems)
+    assert 200 < rejected < 300
+
+
+def test_crossing_is_an_immutable_record():
+    c = Crossing(-1, 4, 5, 6, 7)
+    assert c == Crossing(sign=-1, under_in=4, over_in=5, under_out=6, over_out=7)
+    assert c == Crossing(-1, 4, over_in=5, under_out=6, over_out=7)
+    assert (c.sign, c.under_in, c.over_in, c.under_out, c.over_out) == (-1, 4, 5, 6, 7)
+    assert c.inputs() == (4, 5)
+    assert c.outputs() == (6, 7)
+    assert c != Crossing(1, 4, 5, 6, 7)
+    assert hash(c) == hash(Crossing(-1, 4, 5, 6, 7))
+    assert len({c, Crossing(-1, 4, 5, 6, 7), Crossing(-1, 4, 5, 7, 6)}) == 2
+    for field in ("sign", "under_in", "over_out"):
+        with pytest.raises(AttributeError):
+            setattr(c, field, 0)
+    with pytest.raises(TypeError):
+        Crossing(1, 2, 3, 4)
+
+
+def test_moves_on_the_catalog_stay_valid():
+    for link in catalog_names():
+        d = get_diagram(link)
+        last = d.n_semiarcs - 1
+        for sign in (1, -1):
+            for over_first in (False, True):
+                assert validate(r1_kink(d, last, sign=sign, over_first=over_first)) == []
+        poked = r2_poke(d, 0, last)
+        assert validate(poked) == []
+        # the crossings that consumed 0 and last now consume the new tails
+        assert 1 <= sum(a != b for a, b in zip(poked.crossings, d.crossings)) <= 2
+        assert all(type(c) is Crossing for c in poked.crossings)
 
 
 def test_parse_gauss_virtual_trefoil():

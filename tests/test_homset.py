@@ -22,6 +22,7 @@ from knotquiver.homset import (
     _constraints,
     _plan,
     chain_vector,
+    chain_vectors,
     colorings,
     counting_invariant,
     pair_basis,
@@ -167,6 +168,47 @@ def test_coloring_lookups_built_once_per_algebra(monkeypatch):
     assert [[chain_vector(d, bq, col) for col in cols]
             for d, cols in zip(diagrams, found)] == chains
     assert all(a is b for a, b in zip(homset._tables(bq), tables))
+
+
+def reference_chain_vector(diagram, bq, coloring):
+    # the per-coloring loop chain_vectors replaced: one pass over the
+    # crossings, one dict lookup per nondegenerate pair
+    index = {p: i for i, p in enumerate(pair_basis(bq))}
+    vec = [0] * len(index)
+    for c in diagram.crossings:
+        if c.sign > 0:
+            pair = (coloring[c.under_in], coloring[c.over_out])
+        else:
+            pair = (coloring[c.under_out], coloring[c.over_in])
+        if pair[0] != pair[1]:
+            vec[index[pair]] += c.sign
+    return vec
+
+
+@pytest.mark.parametrize("name", ["swap3", "flip2", "core-5", "alexander-7-3"])
+def test_chain_vectors_match_the_per_coloring_loop(name):
+    bq = builtin(name)
+    diagrams = [get_diagram(link) for link in catalog_names()]
+    # a kink, and diagrams of one crossing and of none, which chain_vectors
+    # reads without itemgetter
+    curl = LinkDiagram([Crossing(1, 0, 1, 1, 0)])
+    diagrams += [r1_kink(braid_closure([1, 1]), 0), curl, mirror(curl), LinkDiagram([])]
+    for d in diagrams:
+        cols = colorings(d, bq)
+        expected = [reference_chain_vector(d, bq, col) for col in cols]
+        assert chain_vectors(d, bq, cols) == expected
+        assert [chain_vector(d, bq, col) for col in cols] == expected
+
+
+def test_chain_vectors_of_a_diagram_without_colorings():
+    # under(x, y) = over(x, y) = x + 1 on Z_3 adds 1 to the color at every
+    # step along a component, so a component of 4 semiarcs, as the virtual
+    # knot 2.1 has, cannot close up
+    shift = [[x % 3 + 1] * 3 for x in range(1, 4)]
+    bq = Biquandle(shift, shift)
+    d = get_diagram("2.1")
+    assert colorings(d, bq) == []
+    assert chain_vectors(d, bq, colorings(d, bq)) == []
 
 
 def test_push_forward():
