@@ -27,8 +27,9 @@ the rank of d3^T: d2 @ d3 vanishes, so rank d3 <= p - rank d2, and
 rank d2 is taken over F_q for a large prime q, which can only
 underestimate the rational rank.  On a connected quandle the bound is
 the rank (rational H^2 vanishes), and the factorization stops once its
-pivots are found, without bringing in the rows past them; u is then
-not kept, and nothing here reads it.
+pivots are found, without bringing in the rows past them.  A bounded
+Smith form keeps no row log, so no u, whether or not it stops early;
+nothing here reads it.
 This is the universal-coefficient view: the cocycles over Z are the
 columns of v past the rank, and the lifts to Z^p of the cocycles over
 Z_m are spanned by the columns of v with column i scaled by
@@ -145,8 +146,8 @@ class _Complex:
     in the kernel of d2.  The Smith form reads a row of d3^T only when
     it brings the row in, so rows past the pivots are never expanded.
     Its result forms the sparse columns of v and rows of v^-1, the only
-    parts the cohomology reads, from its column log on first read, and
-    keeps no u once it stops at the bound.
+    parts the cohomology reads, from its column log on first read.
+    Being bounded, it keeps no row log and so no u.
 
     The slots of a terms entry are fixed: the first three pairs enter
     d3(x, y, z) with +1, the last three with -1,

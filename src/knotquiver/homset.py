@@ -193,11 +193,11 @@ _ZERO_LANES = bytes([1]) + bytes(255)
 
 
 def _getter(idx):
-    # a function reading the entries at idx from a sequence, as a tuple
-    if len(idx) == 1:
-        i = idx[0]
-        return lambda seq: (seq[i],)
-    return itemgetter(*idx)
+    """A function reading the entries at idx from a sequence, as a tuple;
+    itemgetter needs an index, and of one it returns a bare entry."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda seq: tuple([seq[i] for i in idx])
 
 
 def _lanes(plan, n, n_semiarcs):
@@ -383,14 +383,6 @@ def chain_vector(diagram, bq, coloring):
     return chain_vectors(diagram, bq, [coloring])[0]
 
 
-def _reader(slots):
-    """A function from a coloring to its colors at slots, as a sequence."""
-    if len(slots) > 1:
-        return itemgetter(*slots)
-    # itemgetter of one slot returns a bare color, and it needs a slot
-    return lambda col: [col[s] for s in slots]
-
-
 def chain_vectors(diagram, bq, cols):
     """The chain_vector of every coloring in cols, in order.
 
@@ -406,8 +398,8 @@ def chain_vectors(diagram, bq, cols):
     for (x, y), k in index.items():
         flat[x * stride + y] = k
     crossings = diagram.crossings
-    first = _reader([c.under_in if c.sign > 0 else c.under_out for c in crossings])
-    second = _reader([c.over_out if c.sign > 0 else c.over_in for c in crossings])
+    first = _getter([c.under_in if c.sign > 0 else c.under_out for c in crossings])
+    second = _getter([c.over_out if c.sign > 0 else c.over_in for c in crossings])
     signs = [c.sign for c in crossings]
     vectors = []
     for col in cols:

@@ -1,11 +1,12 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from knotquiver.algebra import alexander_cyclic, builtin, core_cyclic
 from knotquiver import cohomology
 from knotquiver.cohomology import boundary_matrices
-from knotquiver.intlinalg import SNFResult, identity, mat_mul, rank_mod, snf, transpose
+from knotquiver.intlinalg import identity, mat_mul, rank_mod, snf, transpose
 
 
 # reference helpers, also used by test_cohomology.py; solve and
@@ -18,31 +19,69 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
+def sparse_rows(mat):
+    """The rows of a dense matrix as {column: value} dicts, the form snf
+    takes."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
+@dataclass
+class ReferenceSmithForm:
+    """u * mat * v = diag(diag), with u, u_inv, v and v_inv dense, and
+    the row operations in the order they ran."""
+    diag: list
+    u: list
+    u_inv: list
+    v: list
+    v_inv: list
+    row_ops: list
+
+    @property
+    def rank(self):
+        return sum(1 for d in self.diag if d)
+
+    def apply_u(self, vec):
+        return mat_vec(self.u, vec)
+
+
 def reference_snf(mat, cancelled=None):
     """The dense Smith normal form that snf replaced: every row and
-    column operation walks whole rows and columns.  snf must apply the
-    same operations in the same order and return the same result.
+    column operation walks whole rows and columns, and applies itself to
+    u and u_inv, or v and v_inv, as it runs.  snf must apply the same
+    operations in the same order and return the same result.
 
     cancelled, when given, is a list that gets one entry per column
     operation that turns a nonzero entry of v or v_inv into zero."""
     m = len(mat)
     n = len(mat[0]) if m else 0
     a = [row[:] for row in mat]
+    u = identity(m)
+    u_inv = identity(m)
     v = identity(n)
     v_inv = identity(n)
     row_ops = []
 
+    # a row operation E turns u into E u and u_inv into u_inv E^-1
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+        for r in u_inv:
+            r[i], r[j] = r[j], r[i]
         row_ops.append(("swap", i, j, 0))
 
     def row_add(i, j, c):
         # row_i += c * row_j
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        for r in u_inv:
+            r[j] -= c * r[i]
         row_ops.append(("add", i, j, c))
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+        for r in u_inv:
+            r[i] = -r[i]
         row_ops.append(("neg", i, 0, 0))
 
     def col_swap(i, j):
@@ -131,7 +170,7 @@ def reference_snf(mat, cancelled=None):
         t += 1
 
     diag = [a[i][i] for i in range(size)]
-    return SNFResult(diag, v, v_inv, row_ops, m)
+    return ReferenceSmithForm(diag, u, u_inv, v, v_inv, row_ops)
 
 
 def solve(mat, rhs, res=None):
@@ -193,8 +232,8 @@ def kernel_basis(mat, ncols=None):
     """
     if not mat:
         return identity(ncols or 0)
-    res = snf(mat)
     n = len(mat[0])
+    res = snf(sparse_rows(mat), n)
     return [
         [res.v[i][j] for i in range(n)]
         for j in range(res.rank, n)
@@ -235,7 +274,7 @@ def is_diagonal(mat):
 
 def assert_smith_factorization(mat):
     m, n = len(mat), len(mat[0])
-    res = snf(mat)
+    res = snf(sparse_rows(mat), n)
     d = mat_mul(mat_mul(res.u, mat), res.v)
     assert is_diagonal(d)
     for i in range(min(m, n)):
@@ -266,11 +305,20 @@ def assert_same_results(res, ref):
 
 
 def assert_same_smith_form(mat):
-    # the dense rows, and the same matrix as {column: value} rows
     ref = reference_snf(mat)
-    assert_same_results(snf(mat), ref)
-    sparse = [{j: x for j, x in enumerate(row) if x} for row in mat]
-    assert_same_results(snf(sparse, len(mat[0]) if mat else 0), ref)
+    res = snf(sparse_rows(mat), len(mat[0]) if mat else 0)
+    assert_same_results(res, ref)
+    return res, ref
+
+
+def assert_no_row_transform(res):
+    # a Smith form under a rank bound keeps no row log, and refuses u
+    assert res.row_ops is None
+    zero = [0] * res.nrows
+    for read in (lambda: res.u, lambda: res.u_inv,
+                 lambda: res.apply_u(zero), lambda: res.apply_u_inv(zero)):
+        with pytest.raises(ValueError, match="rank bound"):
+            read()
 
 
 def test_snf_matches_dense_reference_random():
@@ -280,8 +328,10 @@ def test_snf_matches_dense_reference_random():
     for _ in range(400):
         m = rng.randint(1, 12)
         n = rng.randint(1, 8)
-        assert_same_smith_form(
+        res, ref = assert_same_smith_form(
             [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(m)])
+        # replayed from the row log, against the reference's own
+        assert (res.u, res.u_inv) == (ref.u, ref.u_inv)
 
 
 def test_snf_matches_reference_where_column_operations_cancel_transform_entries():
@@ -295,9 +345,9 @@ def test_snf_matches_reference_where_column_operations_cancel_transform_entries(
         mat = [[rng.choice((0, 0, 0, 0, 2, 3, -2, 4)) for _ in range(n)] for _ in range(m)]
         cancelled = []
         ref = reference_snf(mat, cancelled)
-        for res in (snf(mat), snf([{j: x for j, x in enumerate(row) if x} for row in mat], n)):
-            assert_same_results(res, ref)
-            assert mat_mul(res.v, res.v_inv) == identity(n)
+        res = snf(sparse_rows(mat), n)
+        assert_same_results(res, ref)
+        assert mat_mul(res.v, res.v_inv) == identity(n)
         cancelling += bool(cancelled)
     assert cancelling >= 40, cancelling
 
@@ -323,10 +373,8 @@ def test_snf_of_sparse_coboundary_rows_matches_dense_rows(name):
     cx = cohomology._Complex(bq)
     rows = list(cx.d3t)
     before = [dict(row) for row in rows]
-    _, d3 = boundary_matrices(bq)
     res = snf(rows, cx.npairs)
     assert rows == before
-    assert_same_results(res, snf(transpose(d3)))
     # trivial-3 has an all-zero d3^T: only ncols gives v its size
     assert len(res.v) == len(res.v_inv) == cx.npairs
     if not any(rows):
@@ -341,6 +389,18 @@ def planted_rank_matrix(rng, m, n, r):
     return mat_mul(b, c) if r else [[0] * n for _ in range(m)]
 
 
+class ReadRows(list):
+    """A list of rows that records the indices read from it."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
 def test_snf_with_exact_rank_bound_matches_reference():
     # tall matrices of planted rank, as d3^T is tall; the bound is the
     # exact rank, so the elimination stops before the rows past the
@@ -351,42 +411,44 @@ def test_snf_with_exact_rank_bound_matches_reference():
         m, n = rng.randint(1, 16), rng.randint(1, 8)
         mat = planted_rank_matrix(rng, m, n, rng.randint(0, 4))
         ref = reference_snf(mat)
-        for rows, ncols in ((mat, None), ([{j: x for j, x in enumerate(row) if x}
-                                           for row in mat], n)):
-            res = snf(rows, ncols, ref.rank)
-            assert (res.diag, res.v, res.v_inv) == (ref.diag, ref.v, ref.v_inv)
-            assert res.row_ops in (None, ref.row_ops)
-            stopped += res.row_ops is None
-    assert stopped >= 100, stopped
+        rows = ReadRows(sparse_rows(mat))
+        res = snf(rows, n, ref.rank)
+        assert (res.diag, res.v, res.v_inv) == (ref.diag, ref.v, ref.v_inv)
+        assert_no_row_transform(res)
+        stopped += len(rows.read) < m
+    assert stopped >= 50, stopped
 
 
 def test_snf_with_loose_rank_bound_is_complete():
+    # diag, v and v_inv are whole under a bound above the rank; the row
+    # log is not kept, whether or not every row entered
     rng = random.Random(31)
     for _ in range(200):
         m, n = rng.randint(1, 16), rng.randint(1, 8)
         mat = planted_rank_matrix(rng, m, n, rng.randint(0, 4))
         ref = reference_snf(mat)
-        res = snf(mat, None, ref.rank + rng.randint(1, 3))
-        assert_same_results(res, ref)
-        assert res.u == ref.u and res.u_inv == ref.u_inv
+        res = snf(sparse_rows(mat), n, ref.rank + rng.randint(1, 3))
+        assert (res.diag, res.v, res.v_inv) == (ref.diag, ref.v, ref.v_inv)
+        assert_no_row_transform(res)
 
 
 def test_snf_stopped_at_its_bound_refuses_the_row_transform():
     mat = [[1, 0], [0, 1], [1, 1], [1, -1]]
-    res = snf(mat, None, 2)
-    assert res.diag == [1, 1] and res.row_ops is None
-    for read in (lambda: res.u, lambda: res.u_inv, lambda: res.apply_u([1, 0, 0, 0])):
-        with pytest.raises(ValueError, match="rank bound"):
-            read()
-    # a bound that lets the elimination bring in every row keeps it all
-    assert_same_results(snf(mat, None, 3), reference_snf(mat))
+    res = snf(sparse_rows(mat), 2, 2)
+    assert res.diag == [1, 1]
+    assert_no_row_transform(res)
+    # a bound that lets the elimination bring in every row keeps no
+    # row log either
+    res, ref = snf(sparse_rows(mat), 2, 3), reference_snf(mat)
+    assert (res.diag, res.v, res.v_inv) == (ref.diag, ref.v, ref.v_inv)
+    assert_no_row_transform(res)
 
 
 def test_snf_rejects_a_bound_below_the_rank_it_sees():
     # the scan brings in both rows (no unit), and the second is left
     # nonzero after one pivot
     with pytest.raises(ValueError, match="rank above rank_bound 1"):
-        snf([[2, 0], [0, 2]], None, 1)
+        snf(sparse_rows([[2, 0], [0, 2]]), 2, 1)
 
 
 def test_rank_mod_matches_reference():
