@@ -133,6 +133,14 @@ def load_endos(args, bq):
     return [tuple(e) for e in endos]
 
 
+def load_data(args):
+    """The DataVector of --quandle, --group, --cocycles and --endos, read
+    in that order, so the first bad input is the one reported."""
+    bq = load_algebra(args.quandle)
+    coeff = CoeffGroup.parse(args.group)
+    return DataVector(bq, coeff, load_cocycles(args, bq, coeff), load_endos(args, bq))
+
+
 def emit(text, args):
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
@@ -211,29 +219,23 @@ def cmd_cocycle_invariant(args):
 
 def cmd_quiver(args):
     d = load_link(args)
-    bq = load_algebra(args.quandle)
-    coeff = CoeffGroup.parse(args.group)
-    data = DataVector(bq, coeff, load_cocycles(args, bq, coeff), load_endos(args, bq))
-    rq = build_representation(d, data)
+    rq = build_representation(d, load_data(args))
     emit(rq.to_json(), args)
     return 0
 
 
 def cmd_invariants(args):
     d = load_link(args)
-    bq = load_algebra(args.quandle)
-    coeff = CoeffGroup.parse(args.group)
-    vectors = load_cocycles(args, bq, coeff)
-    data = DataVector(bq, coeff, vectors, load_endos(args, bq))
+    data = load_data(args)
     rq, polys = four_polynomials(d, data)
     record = {
         "link": d.name,
-        "algebra": bq.name,
-        "coefficients": str(coeff),
+        "algebra": data.algebra.name,
+        "coefficients": str(data.coeff),
         "colorings": len(rq.vertices),
     }
-    for i, vec in enumerate(vectors):
-        record["phi_%d" % (i + 1)] = state_sum(coeff, vec, rq.chains).render()
+    for i, vec in enumerate(data.vectors):
+        record["phi_%d" % (i + 1)] = state_sum(data.coeff, vec, rq.chains).render()
     record.update(polys)
     if args.json:
         emit(json.dumps(record, indent=1), args)
@@ -254,11 +256,7 @@ def _batch_subset(spec):
 
 
 def cmd_batch(args):
-    bq = load_algebra(args.quandle)
-    coeff = CoeffGroup.parse(args.group)
-    vectors = load_cocycles(args, bq, coeff)
-    endos = load_endos(args, bq)
-    data = DataVector(bq, coeff, vectors, endos)
+    data = load_data(args)
     keys = ("chi_edge", "pm_edge", "chi_path", "pm_path")
     rows = []
     known = set(catalog_names())

@@ -232,8 +232,9 @@ def _complex(bq):
 
 
 def check_length(bq, vec):
-    """Raise ValueError unless vec is as long as the pair basis."""
-    want = _complex(bq).npairs
+    """Raise ValueError unless vec is as long as the pair basis, the
+    n(n - 1) pairs of distinct elements."""
+    want = bq.n * (bq.n - 1)
     if len(vec) != want:
         raise ValueError("vector length %d, basis size %d" % (len(vec), want))
 
@@ -438,10 +439,9 @@ def weight_multiset(coeff, phi, chains):
 
 def state_sum(coeff, phi, chains):
     """One q^weight term per chain vector."""
-    out = GroupExponentPolynomial.zero(coeff.modulus)
-    for w, mult in weight_multiset(coeff, phi, chains):
-        out = out + GroupExponentPolynomial.monomial(mult, {"q": w}, coeff.modulus)
-    return out
+    # a weight is reduced by coeff, so (("q", w),) is a canonical key
+    pairs = [((("q", w),) if w else (), mult) for w, mult in weight_multiset(coeff, phi, chains)]
+    return GroupExponentPolynomial.collect(pairs, coeff.modulus)
 
 
 def cocycle_invariant(diagram, bq, coeff, phi):

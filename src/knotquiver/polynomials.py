@@ -8,13 +8,20 @@ Two flavours of variable coexist:
   coefficient group of the cocycles (integers mod m, or all of Z when
   m = 0), so exponents add modulo m under multiplication.
 
+A term is keyed by its canonical form: a tuple of (variable, exponent)
+pairs in VAR_PRECEDENCE order, each variable at most once, no zero
+exponent, group exponents reduced mod m.  monomial and collect produce
+polynomials in this form: monomial builds its key from an exponent
+dict, and collect, the one place that sums like terms, takes keys
+already in it.
+
 Terms render without spaces, highest term first under the precedence
 x > y > s > t > z; q-terms render in ascending order instead so small
 weights read first.
 """
 
 from collections import Counter
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from .intlinalg import mat_mul
 
@@ -42,14 +49,28 @@ def _norm_exp(var, exp, modulus):
 
 
 class GroupExponentPolynomial:
-    """Integer-coefficient polynomial with group-valued exponents on x, y, q."""
+    """Integer-coefficient polynomial with group-valued exponents on x, y, q.
+
+    terms maps canonical keys (see the module docstring), such as
+    (("x", 2), ("z", 3)), to nonzero coefficients; collect and monomial
+    produce them.  Sums, products and specialize build through collect,
+    so render reads each key's variables in stored order.
+    """
 
     __slots__ = ("terms", "modulus")
 
     def __init__(self, terms=None, modulus=0):
-        # terms: {(("x", 2), ("z", 3)): coeff, ...} keys sorted by precedence
         self.terms = dict(terms) if terms else {}
         self.modulus = modulus
+
+    @classmethod
+    def collect(cls, pairs, modulus=0):
+        """The sum of the (key, coefficient) pairs: coefficients of equal
+        keys added, zeros dropped.  Keys must be canonical."""
+        terms = {}
+        for key, c in pairs:
+            terms[key] = terms.get(key, 0) + c
+        return cls({k: c for k, c in terms.items() if c}, modulus)
 
     @classmethod
     def zero(cls, modulus=0):
@@ -77,17 +98,10 @@ class GroupExponentPolynomial:
         if isinstance(other, int):
             other = GroupExponentPolynomial.constant(other, self.modulus)
         m = self._join_modulus(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            c2 = out.get(key, 0) + c
-            if c2:
-                out[key] = c2
-            else:
-                out.pop(key, None)
-        return GroupExponentPolynomial(out, m)
+        return GroupExponentPolynomial.collect(chain(self.terms.items(), other.terms.items()), m)
 
     def __neg__(self):
-        return GroupExponentPolynomial({k: -c for k, c in self.terms.items()}, self.modulus)
+        return self * -1
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -96,22 +110,11 @@ class GroupExponentPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if not other:
-                return GroupExponentPolynomial.zero(self.modulus)
-            return GroupExponentPolynomial(
-                {k: c * other for k, c in self.terms.items()}, self.modulus
-            )
+            other = GroupExponentPolynomial.constant(other, self.modulus)
         m = self._join_modulus(other)
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = _merge_keys(k1, k2, m)
-                c = out.get(key, 0) + c1 * c2
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
-        return GroupExponentPolynomial(out, m)
+        return GroupExponentPolynomial.collect(
+            ((_merge_keys(k1, k2, m), c1 * c2)
+             for k1, c1 in self.terms.items() for k2, c2 in other.terms.items()), m)
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -133,10 +136,7 @@ class GroupExponentPolynomial:
         parts = []
         for key in keys:
             c = self.terms[key]
-            body = "".join(
-                v if e == 1 else "%s^%d" % (v, e)
-                for v, e in sorted(key, key=lambda p: VAR_PRECEDENCE.index(p[0]))
-            )
+            body = "".join(v if e == 1 else "%s^%d" % (v, e) for v, e in key)
             mag = abs(c)
             coef = "" if (mag == 1 and body) else str(mag)
             piece = coef + body
@@ -151,6 +151,7 @@ class GroupExponentPolynomial:
 
 
 def _make_key(exps, modulus):
+    """The canonical key of a term with exponents exps, {var: exponent}."""
     items = []
     for v, e in exps.items():
         if v not in VAR_PRECEDENCE:
@@ -219,14 +220,11 @@ def char_poly(mat):
 
 def matrix_poly(mat, row_labels, col_labels, modulus, row_var="x", col_var="y"):
     """Sum of entries as coeff * row_var^row_label * col_var^col_label."""
-    out = GroupExponentPolynomial.zero(modulus)
-    for j, row in enumerate(mat):
-        for k, c in enumerate(row):
-            if c:
-                out = out + GroupExponentPolynomial.monomial(
-                    c, {row_var: row_labels[j], col_var: col_labels[k]}, modulus
-                )
-    return out
+    return GroupExponentPolynomial.collect(
+        ((_make_key({row_var: row_labels[j], col_var: col_labels[k]}, modulus), c)
+         for j, row in enumerate(mat) for k, c in enumerate(row) if c),
+        modulus,
+    )
 
 
 def specialize(poly, ones=(), merge_xy_to_q=False):
@@ -236,7 +234,7 @@ def specialize(poly, ones=(), merge_xy_to_q=False):
     common exponent becomes the q exponent.
     """
     drop = set(ones)
-    out = {}
+    pairs = []
     for key, c in poly.terms.items():
         exps = {v: e for v, e in key if v not in drop}
         if merge_xy_to_q:
@@ -246,13 +244,8 @@ def specialize(poly, ones=(), merge_xy_to_q=False):
                 raise ValueError("cannot merge x^%d with y^%d into q" % (ex, ey))
             if ex:
                 exps["q"] = exps.get("q", 0) + ex
-        newkey = _make_key(exps, poly.modulus)
-        c2 = out.get(newkey, 0) + c
-        if c2:
-            out[newkey] = c2
-        else:
-            out.pop(newkey, None)
-    return GroupExponentPolynomial(out, poly.modulus)
+        pairs.append((_make_key(exps, poly.modulus), c))
+    return GroupExponentPolynomial.collect(pairs, poly.modulus)
 
 
 def maximal_paths(quiver):
@@ -591,6 +584,44 @@ def _off_unused_cycles(vertices, free_out, free_in, out_of, target, left):
     return True
 
 
+def _char_sum(weighted):
+    """Sum of w * det(t*I - M) * s^length over ((M, length), w) pairs, M a
+    tuple of rows; length 0 adds no factor.  char_poly runs once per
+    distinct M."""
+    chars = {}
+    pairs = []
+    for (mat, length), w in weighted:
+        terms = chars.get(mat)
+        if terms is None:
+            terms = chars[mat] = char_poly(mat).terms
+        s = (("s", length),) if length else ()
+        pairs.extend((s + k, c * w) for k, c in terms.items())
+    return GroupExponentPolynomial.collect(pairs)
+
+
+def _entry_sum(weighted, labels, modulus, row_var, col_var):
+    """Sum of w * (entry polynomial of M) * z^length over ((M, length), w)
+    pairs; length 0 adds no factor.  The entry polynomial is linear in
+    the matrix, so matrix_poly runs once per length, on the weighted sum
+    of the matrices of that length.  z follows x and y, so it goes last
+    in each key."""
+    sums = {}  # length -> weighted sum of the matrices of that length
+    for (mat, length), w in weighted:
+        acc = sums.get(length)
+        sums[length] = (
+            [[w * x for x in row] for row in mat] if acc is None else
+            [[x + w * y for x, y in zip(r1, r2)] for r1, r2 in zip(acc, mat)]
+        )
+    return GroupExponentPolynomial.collect(
+        (
+            (k + ((("z", length),) if length else ()), c)
+            for length, mat in sums.items()
+            for k, c in matrix_poly(mat, labels, labels, modulus, row_var, col_var).terms.items()
+        ),
+        modulus,
+    )
+
+
 def edge_char_polynomial(quiver):
     """Sum over edges of det(t*I - action matrix).
 
@@ -598,10 +629,7 @@ def edge_char_polynomial(quiver):
     once, times the number of edges that carry it.
     """
     counts = Counter(tuple(map(tuple, mat)) for _, _, mat in quiver.edges)
-    out = GroupExponentPolynomial.zero()
-    for mat, k in counts.items():
-        out = out + char_poly(mat) * k
-    return out
+    return _char_sum(((mat, 0), k) for mat, k in counts.items())
 
 
 def edge_matrix_polynomial(quiver):
@@ -610,13 +638,11 @@ def edge_matrix_polynomial(quiver):
     The entry polynomial is linear in the matrix, so this is the entry
     polynomial of the summed edge matrices.
     """
-    m = quiver.modulus
-    labels = quiver.labels
     total = [
         [sum(entries) for entries in zip(*rows)]
         for rows in zip(*(mat for _, _, mat in quiver.edges))
     ]
-    return matrix_poly(total, labels, labels, m, row_var="x", col_var="y")
+    return _entry_sum((((total, 0), 1),), quiver.labels, quiver.modulus, "x", "y")
 
 
 def path_polynomials(quiver):
@@ -639,16 +665,12 @@ def path_polynomials(quiver):
     step into an entry takes each of the entry's (product, length)
     tallies times its own product, length and weight.  The trails of a
     list come in the order of the search, so neighbours share prefixes,
-    whose product ids stay on a stack.  Then char_poly runs once per
-    distinct product, its terms shifted by s^length.  The entry
-    polynomial is linear in the matrix, so the matrix polynomial takes
-    one entry polynomial of the weighted sum of the products of each
-    length.  The search and its budget are those of maximal_paths: the
-    budget counts the labeled trails the search would take without
-    reuse.
+    whose product ids stay on a stack.  The ((product, length), weight)
+    tallies then go to the two sums the edge polynomials use too,
+    _char_sum and _entry_sum.  The search and its budget are those of
+    maximal_paths: the budget counts the labeled trails the search would
+    take without reuse.
     """
-    m = quiver.modulus
-    labels = quiver.labels
     members, roots, entries = _class_paths(quiver)
     ids = {}
     mats = []  # mats[i]: the matrix with id i, as a tuple of rows
@@ -701,32 +723,8 @@ def path_polynomials(quiver):
 
     for at, found in entries.items():
         tallies[at] = tally(found)
-    chi = {}
-    sums = {}  # length -> weighted sum of the products of that length
-    chars = {}
-    for (p, length), weight in tally(roots).items():
-        terms = chars.get(p)
-        if terms is None:
-            terms = chars[p] = char_poly(mats[p]).terms
-        s = ("s", length)
-        for k, c in terms.items():
-            key = (s,) + k
-            chi[key] = chi.get(key, 0) + c * weight
-        mat = mats[p]
-        acc = sums.get(length)
-        sums[length] = (
-            [[weight * x for x in row] for row in mat] if acc is None else
-            [[x + weight * y for x, y in zip(r1, r2)] for r1, r2 in zip(acc, mat)]
-        )
-    pm = {}
-    for length, mat in sums.items():
-        z = ("z", length)
-        for k, c in matrix_poly(mat, labels, labels, m, row_var="y", col_var="x").terms.items():
-            pm[k + (z,)] = c
-    return (
-        GroupExponentPolynomial({k: c for k, c in chi.items() if c}),
-        GroupExponentPolynomial(pm, m),
-    )
+    weighted = [((mats[p], length), w) for (p, length), w in tally(roots).items()]
+    return _char_sum(weighted), _entry_sum(weighted, quiver.labels, quiver.modulus, "y", "x")
 
 
 def path_char_polynomial(quiver):

@@ -27,8 +27,8 @@ import json
 from dataclasses import dataclass, field
 
 from .algebra import Biquandle, is_homomorphism
-from .cohomology import CoeffGroup, evaluate
-from .homset import chain_vectors, colorings, pair_basis, push_forward
+from .cohomology import CoeffGroup, check_length, evaluate
+from .homset import chain_vectors, colorings, push_forward
 
 
 @dataclass(frozen=True)
@@ -51,12 +51,8 @@ class DataVector:
     def __post_init__(self):
         object.__setattr__(self, "vectors", tuple(tuple(v) for v in self.vectors))
         object.__setattr__(self, "endos", tuple(tuple(e) for e in self.endos))
-        want = len(pair_basis(self.algebra))
         for vec in self.vectors:
-            if len(vec) != want:
-                raise ValueError(
-                    "evaluation vector has length %d, basis has %d" % (len(vec), want)
-                )
+            check_length(self.algebra, vec)
         for endo in self.endos:
             if not is_homomorphism(self.algebra, self.algebra, endo):
                 raise ValueError("map %r is not an endomorphism" % (endo,))

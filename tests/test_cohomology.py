@@ -31,6 +31,7 @@ from knotquiver.cohomology import (
 )
 from knotquiver.homset import chain_vector, colorings, pair_basis
 from knotquiver.intlinalg import snf, transpose
+from knotquiver.quiver import DataVector
 
 from test_intlinalg import (
     assert_no_row_transform,
@@ -742,6 +743,29 @@ def test_wrong_vector_length_raises(check, vec):
     with pytest.raises(ValueError) as err:
         check(swap3(), Z3, vec)
     assert str(err.value) == "vector length %d, basis size 6" % len(vec)
+
+
+def test_length_check_builds_no_complex(monkeypatch):
+    # the pair basis has n(n - 1) entries; checking a vector against it,
+    # from the cohomology layer or from DataVector, builds no complex
+    def fail(bq):
+        raise AssertionError("cochain complex built")
+
+    monkeypatch.setattr(cohomology, "_Complex", fail)
+    for bq in (core_cyclic(128), swap3()):
+        size = bq.n * (bq.n - 1)
+        cohomology.check_length(bq, [0] * size)
+        for vec in ([], [0] * (size + 1)):
+            want = "vector length %d, basis size %d" % (len(vec), size)
+            with pytest.raises(ValueError) as err:
+                cohomology.check_length(bq, vec)
+            assert str(err.value) == want
+            with pytest.raises(ValueError) as err:
+                is_cocycle(bq, Z3, vec)
+            assert str(err.value) == want
+            with pytest.raises(ValueError) as err:
+                DataVector(bq, Z3, [vec], [])
+            assert str(err.value) == want
 
 
 # sha256 of the H^2 output below, recorded with the eager Smith form of

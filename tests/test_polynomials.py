@@ -9,10 +9,12 @@ from types import SimpleNamespace
 import pytest
 
 from knotquiver import polynomials
-from knotquiver.algebra import core_cyclic
-from knotquiver.catalog import get_diagram
-from knotquiver.cohomology import CoeffGroup, evaluate
+from knotquiver.algebra import builtin, core_cyclic
+from knotquiver.catalog import catalog_names, get_diagram
+from knotquiver.cohomology import CoeffGroup, evaluate, h2_generators, state_sum
 from knotquiver.polynomials import (
+    GROUP_VARS,
+    VAR_PRECEDENCE,
     GroupExponentPolynomial as P,
     LimitError,
     char_poly,
@@ -684,3 +686,75 @@ def test_edge_polynomials_match_reference_on_random_quivers():
         q = random_parallel_quiver(rng) if rng.random() < 0.5 else random_quiver(rng)
         assert_edge_polynomials_match_reference(q)
     assert_edge_polynomials_match_reference(quiver_of([], labels=[0, 1], modulus=3))
+
+
+# ------------------------------------------------------ canonical keys
+
+def assert_canonical(poly):
+    """Every key lists its variables in VAR_PRECEDENCE order, each once,
+    with a nonzero exponent, group exponents reduced mod the modulus;
+    every coefficient is nonzero.  render relies on this form."""
+    m = poly.modulus
+    for key, c in poly.terms.items():
+        assert c, poly.terms
+        names = [v for v, _ in key]
+        assert names == sorted(set(names), key=VAR_PRECEDENCE.index), key
+        for v, e in key:
+            assert e, key
+            if m and v in GROUP_VARS:
+                assert 0 < e < m, key
+
+
+def test_collect_sums_like_terms_and_drops_zeros():
+    key = (("x", 1), ("z", 2))
+    p = P.collect([(key, 2), ((), 5), (key, 3), ((("t", 1),), 4), ((("t", 1),), -4)], 3)
+    assert p.terms == {key: 5, (): 5} and p.modulus == 3
+    assert P.collect([], 3) == P.zero(3)
+    assert (mono(1, 3, x=1) * mono(1, 3, x=2) - 1).terms == {}
+
+
+# (algebra, group, endomorphisms); the vectors are the H^2 generators
+# and the first basis vector, so core-5 over Z_5, which has none, still
+# gets a nonzero one
+CANONICAL_CASES = [
+    ("swap3", 3, ((2, 2, 1),)),
+    ("core-4", 3, ((2, 4, 2, 4), (1, 1, 1, 1))),
+    ("flip2", 3, ((1, 2), (2, 1))),
+    ("core-5", 5, ((1, 3, 5, 2, 4), (1, 2, 3, 4, 5))),
+]
+
+
+@pytest.mark.parametrize("name,m,endos", CANONICAL_CASES)
+def test_every_polynomial_has_canonical_keys(name, m, endos):
+    bq, coeff = builtin(name), CoeffGroup(m)
+    vectors = [vec for _, vec in h2_generators(bq, coeff)]
+    vectors.append([1] + [0] * (bq.n * (bq.n - 1) - 1))
+    data = DataVector(bq, coeff, vectors, endos)
+    # under the identity alone a path's x and y exponents agree
+    identity = DataVector(bq, coeff, vectors, (tuple(bq.elements),))
+    links = catalog_names()
+    assert len(links) == 28
+    checked = 0
+    for link in links:
+        diagram = get_diagram(link)
+        rq = build_representation(diagram, data)
+        chi_edge, pm_edge = edge_char_polynomial(rq), edge_matrix_polynomial(rq)
+        chi_path, pm_path = path_polynomials(rq)
+        polys = [chi_edge, pm_edge, chi_path, pm_path]
+        polys += [char_poly(mat) for mat in {tuple(map(tuple, mat)) for _, _, mat in rq.edges}]
+        polys += [state_sum(coeff, vec, rq.chains) for vec in vectors]
+        polys += [
+            specialize(chi_path, ones=("s",)),
+            specialize(pm_path, ones=("z",)),
+            specialize(pm_edge, ones=("x",)),
+            chi_edge + chi_path,
+            pm_edge + pm_path,
+            chi_edge * chi_path,
+            pm_edge * pm_path,
+            specialize(path_polynomials(build_representation(diagram, identity))[1],
+                       ones=("z",), merge_xy_to_q=True),
+        ]
+        for poly in polys:
+            assert_canonical(poly)
+        checked += len(polys)
+    assert checked > 28 * 13
