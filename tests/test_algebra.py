@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -294,3 +295,37 @@ def test_is_homomorphism_rejects_images_outside_the_algebra():
 
 def test_endomorphisms_of_trivial():
     assert len(endomorphisms(trivial_quandle(2))) == 4
+
+
+# every builtin of order up to 21, core-17 to core-21 among them, which
+# the depth-first walk of the coloring plan searches
+GOLDEN_ENDO_ALGEBRAS = (
+    ["swap3", "flip2", "trivial-2", "trivial-3", "trivial-4"]
+    + ["core-%d" % m for m in range(3, 22)]
+    + ["alexander-5-2", "alexander-5-3", "alexander-7-3", "alexander-7-5",
+       "alexander-11-2", "alexander-13-2"]
+)
+# Hom(X, Y) between different algebras, of equal and different orders
+GOLDEN_HOM_PAIRS = (
+    ("core-3", "core-6"), ("core-6", "core-3"), ("swap3", "core-3"),
+    ("core-4", "swap3"), ("flip2", "trivial-2"), ("trivial-2", "swap3"),
+    ("core-5", "alexander-5-2"), ("alexander-5-2", "core-5"),
+    ("core-3", "core-18"), ("core-9", "core-3"), ("flip2", "swap3"),
+)
+# sha256 of the lists above, recorded while homomorphisms still closed a
+# partial map by rescanning every known pair
+GOLDEN_HOM_DIGEST = "7feb7e9b36c0565b6f48b0299b76e417cc942cf5d914fafbe9ff2b6fd445e84a"
+
+
+def golden_hom_digest():
+    h = hashlib.sha256()
+    for name in GOLDEN_ENDO_ALGEBRAS:
+        h.update(("%s %r\n" % (name, endomorphisms(builtin(name)))).encode())
+    for src, dst in GOLDEN_HOM_PAIRS:
+        homs = homomorphisms(builtin(src), builtin(dst))
+        h.update(("%s %s %r\n" % (src, dst, homs)).encode())
+    return h.hexdigest()
+
+
+def test_homomorphisms_match_golden_digest():
+    assert golden_hom_digest() == GOLDEN_HOM_DIGEST

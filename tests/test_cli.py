@@ -316,6 +316,33 @@ def test_batch_polynomials_match_golden_digest(capsys):
     assert digest.hexdigest() == GOLDEN_BATCH_DIGEST
 
 
+# (algebra, group, endomorphisms) whose h2-generators are not empty, so
+# that their matrix polynomials carry terms: core-6/Z_3 has 2 generators
+# and core-4/Z_2 has 4; batched over every catalog link with the fixed
+# list only, since all endomorphisms end every row in `limit`
+GOLDEN_BATCH_H2_CASES = [
+    ("core-6", "3", "[[1,3,5,1,3,5],[2,1,6,5,4,3]]"),
+    ("core-4", "2", "[[1,3,1,3],[2,3,4,1]]"),
+]
+# sha256 of the 2 `batch --json` outputs, recorded while homomorphisms
+# still closed a partial map by rescanning every known pair
+GOLDEN_BATCH_H2_DIGEST = "7b26afcd258ca00f42e3bf18582104c385129bcbaf7ab997fe2e73c9ac2f70c2"
+
+
+def test_batch_matrix_terms_match_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for quandle, group, endos in GOLDEN_BATCH_H2_CASES:
+        code, out, _ = run(
+            capsys, "batch", "--links", "all", "--quandle", quandle, "--group", group,
+            "--cocycles", "h2-generators", "--endos", endos, "--json")
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == len(catalog_names())
+        assert all(row["pm_edge"] != "0" for row in rows), quandle
+        digest.update(out.encode())
+    assert digest.hexdigest() == GOLDEN_BATCH_H2_DIGEST
+
+
 def test_batch_classical_selects_the_l_named_links(capsys):
     code, out, _ = run(
         capsys, "batch", "--links", "classical", "--quandle", "swap3", "--group", "3",
