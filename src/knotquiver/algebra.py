@@ -10,6 +10,8 @@ Tables are row-major: under_table[x-1][y-1] = under(x, y).
 
 from functools import cached_property
 
+from .homset import solve
+
 
 def check_axioms(under, over):
     """Return a list of human-readable axiom violations (empty if valid)."""
@@ -102,6 +104,15 @@ class Biquandle:
     @cached_property
     def _through_inv(self):
         return {self.through(a, b): (a, b) for a in self.elements for b in self.elements}
+
+    @cached_property
+    def _relations(self):
+        """Every pair (a, b) as the crossing relation (a, b, under(a, b),
+        over(b, a)) on 0-based slots: a map is a homomorphism from this
+        algebra exactly when it carries each to through of its images."""
+        over = self.over_table
+        return [(a, b, u - 1, over[b][a] - 1)
+                for a, row in enumerate(self.under_table) for b, u in enumerate(row)]
 
     @property
     def n(self):
@@ -237,51 +248,14 @@ def builtin(name):
 
 
 def homomorphisms(src, dst):
-    """All maps f with f(under(x,y)) = under(f x, f y) and same for over.
+    """All maps f with f(under(x,y)) = under(f x, f y) and same for over,
+    as tuples of 1-based images in lexicographic order.
 
-    Returned as sorted tuples of 1-based images.
+    f is one exactly when it satisfies the crossing relation of every
+    pair of src (see Biquandle._relations), so the coloring plan of
+    homset solves them over dst like a diagram's crossings.
     """
-    n = src.n
-    out = []
-
-    def close(images):
-        # images: dict elem -> image; extend by forced values, or None on clash
-        images = dict(images)
-        changed = True
-        while changed:
-            changed = False
-            known = list(images.items())
-            for x, fx in known:
-                for y, fy in known:
-                    for op_s, op_d in (
-                        (src.under, dst.under),
-                        (src.over, dst.over),
-                    ):
-                        t = op_s(x, y)
-                        want = op_d(fx, fy)
-                        have = images.get(t)
-                        if have is None:
-                            images[t] = want
-                            changed = True
-                        elif have != want:
-                            return None
-        return images
-
-    def search(images):
-        images = close(images)
-        if images is None:
-            return
-        if len(images) == n:
-            out.append(tuple(images[x] for x in range(1, n + 1)))
-            return
-        x = next(e for e in range(1, n + 1) if e not in images)
-        for v in dst.elements:
-            step = dict(images)
-            step[x] = v
-            search(step)
-
-    search({})
-    return sorted(set(out))
+    return solve(src._relations, src.n, dst)
 
 
 def endomorphisms(bq):
@@ -291,10 +265,5 @@ def endomorphisms(bq):
 def is_homomorphism(src, dst, images):
     if len(images) != src.n or any(y not in dst.elements for y in images):
         return False
-    f = lambda x: images[x - 1]
-    return all(
-        f(src.under(x, y)) == dst.under(f(x), f(y))
-        and f(src.over(x, y)) == dst.over(f(x), f(y))
-        for x in src.elements
-        for y in src.elements
-    )
+    return all(dst.through(images[a], images[b]) == (images[c], images[d])
+               for a, b, c, d in src._relations)

@@ -6,25 +6,31 @@ over_out = over(over_in, under_in), and at each negative crossing the
 same relations hold with in and out swapped.  Colorings are stored as
 tuples indexed by semiarc label.
 
-The search runs a plan compiled once per diagram (see _plan).  Which
-relation fires at a crossing depends only on which of its four
-semiarcs are known, never on their colors, and so does the choice of
-the next free semiarc.  A dry run over "known" flags therefore fixes
-everything but the values: the semiarc chosen freely at each level, the
-lookups that derive the semiarcs the choice forces, and the equations
-left to check at the crossings it completes.  Each crossing belongs to
-exactly one level and is verified there once.  A crossing that fires
-with two known semiarcs derives the other two from one index into two
-flat tables of the same shape (see _tables), so it costs one index
-computation, not two.
+The search solves a list of crossing relations (p1, p2, q1, q2), each
+saying (q1, q2) = through(p1, p2), over numbered slots (see solve).  A
+diagram gives one relation per crossing over its semiarcs; an algebra
+X gives one per pair (a, b) over its elements, (a, b, under(a, b),
+over(b, a)), and the solutions over Y are then the homomorphisms
+X -> Y (see algebra.homomorphisms).
 
-Every partial coloring of a level runs the same straight-line program,
+The search runs a plan compiled once per relation list (see _plan).
+Which relation fires depends only on which of its four slots are
+known, never on their values, and so does the choice of the next free
+slot.  A dry run over "known" flags therefore fixes everything but the
+values: the slot chosen freely at each level, the lookups that derive
+the slots the choice forces, and the equations left to check at the
+relations it completes.  Each relation belongs to exactly one level
+and is verified there once.  A relation that fires with two known
+slots derives the other two from one index into two flat tables of the
+same shape (see _tables), so it costs one index computation, not two.
+
+Every partial solution of a level runs the same straight-line program,
 so for algebras of order up to 15 the search runs a whole level at
-once (see _lanes): each semiarc is a column of one byte per partial
-coloring, the pair index of a lookup is one byte, and a derive step or
+once (see _lanes): each slot is a column of one byte per partial
+solution, the pair index of a lookup is one byte, and a derive step or
 a check is a few C-level calls on whole columns, bytes.translate among
 them.  Above order 15 a depth-first walk (see _walk) runs the plan one
-partial coloring at a time.  Both iterate over the levels, so a plan
+partial solution at a time.  Both iterate over the levels, so a plan
 of thousands of levels needs no recursion.
 """
 
@@ -49,32 +55,33 @@ def _constraints(diagram):
     return cons
 
 
-def _plan(diagram):
-    """The search plan: one (free, derive, check) triple per level.
+def _plan(cons, n):
+    """The search plan for the relations cons over slots 0..n - 1: one
+    (free, derive, check) triple per level.  cons may be a diagram's
+    crossings (see _constraints) or an algebra's pairs.
 
-    free is the lowest semiarc still unknown when the level starts.
+    free is the lowest slot still unknown when the level starts.
     derive lists steps (first, second, s, t, p, q) that set s to
     first(p, q) and then t to second(p, q), in order; check lists steps
     (table, target, p, q) that must hold as equations, target =
-    table(p, q).  Every semiarc but the free ones is derived exactly
+    table(p, q).  Every slot but the free ones is derived exactly
     once, and never overwritten.
 
-    A crossing (p1, p2, q1, q2) fires once two of its semiarcs fix the
+    A relation (p1, p2, q1, q2) fires once two of its slots fix the
     rest, in one of four forms: (p1, p2) by through, (q1, q2) by
     through_inv, (q2, p1) and (q1, p2) by one inverse and one forward
-    lookup.  Each form states the crossing's relation in full as two
-    single lookups.  When both of the other semiarcs are unknown and
+    lookup.  Each form states the relation in full as two single
+    lookups.  When both of the other slots are unknown and
     distinct, the firing is one fused step that reads both from the
     same index.  Otherwise each single lookup whose target is already
     known becomes a check, and one whose target is unknown a derive
     step (table, table, t, t, p, q) that writes t twice; this covers a
-    crossing that fires with three of its semiarcs known, and an R1
-    kink, whose two targets are the same semiarc.  A crossing that fires
-    with all four known is checked in full, and one that fires with two
-    known holds by construction.  Each crossing fires exactly once.
+    relation that fires with three of its slots known, and an R1 kink
+    or a diagonal pair (a, a), whose two targets are the same slot.  A
+    relation that fires with all four known is checked in full, and one
+    that fires with two known holds by construction.  Each relation
+    fires exactly once.
     """
-    n = diagram.n_semiarcs
-    cons = _constraints(diagram)
     touching = [[] for _ in range(n)]
     for idx, quad in enumerate(cons):
         for s in set(quad):
@@ -200,13 +207,13 @@ def _getter(idx):
     return lambda seq: tuple([seq[i] for i in idx])
 
 
-def _lanes(plan, n, n_semiarcs):
-    """Colorings by a level-synchronous search, for orders up to 15.
+def _lanes(plan, n, n_slots):
+    """Solutions by a level-synchronous search, for orders up to 15.
 
-    A lane is one partial coloring, and a semiarc's column holds its
+    A lane is one partial solution, and a slot's column holds its
     color in every lane, one byte per lane.  Level k makes n lanes from
     each lane that survived level k - 1, one per color of its free
-    semiarc, in order; each derive step turns the columns of p and q
+    slot, in order; each derive step turns the columns of p and q
     into the byte indices p * 16 + q and translates them through its
     tables, and each check compares a translated column with its
     target's.  The lanes whose checks all hold survive.  A column is
@@ -217,8 +224,8 @@ def _lanes(plan, n, n_semiarcs):
     other down to the last level, which keeps the lexicographic order.
     """
     depth = len(plan)
-    # the last level that reads each semiarc
-    last = [0] * n_semiarcs
+    # the last level that reads each slot
+    last = [0] * n_slots
     for level, (_, derive, check) in enumerate(plan):
         for _, _, _, _, p, q in derive:
             last[p] = last[q] = level
@@ -279,7 +286,7 @@ def _lanes(plan, n, n_semiarcs):
             continue
         # read every column once, following each surviving lane up
         lanes = survivors if survivors is not None else range(width)
-        colors = [None] * n_semiarcs
+        colors = [None] * n_slots
         for level in range(depth - 1, -1, -1):
             own_cols, _, first_parent = path[level]
             get = _getter(lanes)
@@ -294,14 +301,14 @@ def _lanes(plan, n, n_semiarcs):
     return out
 
 
-def _walk(plan, size, elements, n_semiarcs):
-    """Colorings by a depth-first walk, one partial coloring at a time:
-    each level assigns every element to its free semiarc in turn,
+def _walk(plan, size, elements, n_slots):
+    """Solutions by a depth-first walk, one partial solution at a time:
+    each level assigns every element to its free slot in turn,
     derives what that forces and tests its checks before going deeper.
-    A level writes the same semiarcs on every visit, so stepping back
+    A level writes the same slots on every visit, so stepping back
     undoes nothing."""
     depth = len(plan)
-    color = [0] * n_semiarcs
+    color = [0] * n_slots
     out = []
     values = [iter(elements)] + [None] * depth
     level = 0
@@ -328,13 +335,14 @@ def _walk(plan, size, elements, n_semiarcs):
     return out
 
 
-def colorings(diagram, bq):
-    """All colorings in lexicographic order.
+def solve(cons, n, bq):
+    """Every tuple of n elements of bq under which each relation of cons
+    holds, in lexicographic order.
 
     Runs the plan of _plan, by lanes for algebras of order up to 15 and
-    by a depth-first walk above.  Derived semiarcs lie past their
-    level's free one, so colorings come out in lexicographic order of
-    the free choices, which is the lexicographic order of the tuples.
+    by a depth-first walk above.  Derived slots lie past their level's
+    free one, so solutions come out in lexicographic order of the free
+    choices, which is the lexicographic order of the tuples.
     """
     tables = _tables(bq)
     plan = [
@@ -343,14 +351,19 @@ def colorings(diagram, bq):
             [(tables[k1], tables[k2], s, t, p, q) for k1, k2, s, t, p, q in derive],
             [(tables[k], t, p, q) for k, t, p, q in check],
         )
-        for free, derive, check in _plan(diagram)
+        for free, derive, check in _plan(cons, n)
     ]
     if not plan:
         return [()]
     size = _stride(bq.n)
     if size == BYTE_STRIDE:
-        return _lanes(plan, bq.n, diagram.n_semiarcs)
-    return _walk(plan, size, bq.elements, diagram.n_semiarcs)
+        return _lanes(plan, bq.n, n)
+    return _walk(plan, size, bq.elements, n)
+
+
+def colorings(diagram, bq):
+    """All colorings in lexicographic order."""
+    return solve(_constraints(diagram), diagram.n_semiarcs, bq)
 
 
 def counting_invariant(diagram, bq):

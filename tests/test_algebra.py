@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -329,3 +330,64 @@ def golden_hom_digest():
 
 def test_homomorphisms_match_golden_digest():
     assert golden_hom_digest() == GOLDEN_HOM_DIGEST
+
+
+def brute_force_homomorphisms(src, dst):
+    """Every map src -> dst, tried over all dst.n ** src.n of them, that
+    keeps both operations as the tables spell them out: f(under(x, y)) =
+    under(f x, f y) and f(over(x, y)) = over(f x, f y).  In
+    lexicographic order; is_homomorphism is not used."""
+    pairs = [
+        (x, y, src.under_table[x][y] - 1, src.over_table[x][y] - 1)
+        for x in range(src.n) for y in range(src.n)
+    ]
+    under, over = dst.under_table, dst.over_table
+    return [
+        f for f in itertools.product(dst.elements, repeat=src.n)
+        if all(f[u] == under[f[x] - 1][f[y] - 1] and f[o] == over[f[x] - 1][f[y] - 1]
+               for x, y, u, o in pairs)
+    ]
+
+
+def affine_tables():
+    """The biquandles under(x, y) = ax + by + e, over(x, y) = cx + dy + f
+    on Z_n, n = 2, 3, 4, that check_axioms accepts, without duplicates.
+    a and c are units, or under(-, y) and over(-, y) would not be
+    bijections."""
+    found = {}
+    for n in (2, 3, 4):
+        units = [t for t in range(n) if math.gcd(t, n) == 1]
+        for a, b, c, d, e, f in itertools.product(units, range(n), units, range(n),
+                                                  range(n), range(n)):
+            under = [[(a * x + b * y + e) % n + 1 for y in range(n)] for x in range(n)]
+            over = [[(c * x + d * y + f) % n + 1 for y in range(n)] for x in range(n)]
+            key = (str(under), str(over))
+            if key not in found and not check_axioms(under, over):
+                found[key] = Biquandle(under, over, name="affine-%d-%d%d%d%d%d%d" % (
+                    n, a, b, c, d, e, f), check=False)
+    return list(found.values())
+
+
+ORACLE_ALGEBRAS = ("swap3", "flip2", "trivial-2", "trivial-3", "trivial-4", "core-3",
+                   "core-4", "core-5", "alexander-5-2", "alexander-5-3")
+
+
+def test_homomorphisms_match_brute_force():
+    algebras = [builtin(name) for name in ORACLE_ALGEBRAS]
+    for src in algebras:
+        for dst in algebras:
+            if dst.n ** src.n <= 1024:
+                assert homomorphisms(src, dst) == brute_force_homomorphisms(src, dst), (src, dst)
+    affine = affine_tables()
+    assert len(affine) == 52
+    rng = random.Random(26)
+    for src, dst in zip(rng.sample(affine, 12), rng.sample(affine, 12)):
+        for pair in ((src, src), (src, dst)):
+            assert homomorphisms(*pair) == brute_force_homomorphisms(*pair), pair
+
+
+def test_core_endomorphisms_are_the_affine_maps():
+    # x -> ax + b for every a and b in Z_n, so n^2 of them; past order 15
+    # the depth-first walk searches
+    for n in list(range(3, 18)) + [24, 32, 33]:
+        assert len(endomorphisms(core_cyclic(n))) == n * n, n

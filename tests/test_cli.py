@@ -116,7 +116,7 @@ def test_homset_colors_a_plan_of_1200_levels(capsys):
     # the closure of s1^2 s2^2 ... s1199^2: one plan level per component,
     # colored by lanes under core-3 and by the depth-first walk under core-17
     d = braid_closure([i for i in range(1, 1200) for _ in range(2)])
-    assert len(homset._plan(d)) == 1200
+    assert len(homset._plan(homset._constraints(d), d.n_semiarcs)) == 1200
     pd = pd_string(d)
     for quandle, count in (("core-3", 3), ("core-17", 17)):
         code, out, _ = run(capsys, "homset", "--link", pd, "--format", "pd", "--quandle", quandle)

@@ -428,8 +428,9 @@ def test_colorings_never_overwrite_a_known_semiarc():
     # 3 colorings into 81.  L7a3 has no kink, so each single derive step
     # in its plan is such a crossing
     d = get_diagram("L7a3")
-    assert any(check for _, _, check in _plan(d))
-    assert any(s == t for _, derive, _ in _plan(d) for _, _, s, t, _, _ in derive)
+    plan = _plan(_constraints(d), d.n_semiarcs)
+    assert any(check for _, _, check in plan)
+    assert any(s == t for _, derive, _ in plan for _, _, s, t, _, _ in derive)
     assert len(colorings(d, core_cyclic(3))) == 3
     for name in ORACLE_ALGEBRAS:
         bq = builtin(name)
@@ -465,7 +466,8 @@ def test_colorings_match_reference_on_r1_kink_closures():
         base = random_braid(rng, 8)
         d = r1_kink(base, rng.randrange(base.n_semiarcs), sign=rng.choice((1, -1)),
                     over_first=rng.random() < 0.5)
-        coincident += any(t in (p, q) for _, _, check in _plan(d) for _, t, p, q in check)
+        plan = _plan(_constraints(d), d.n_semiarcs)
+        coincident += any(t in (p, q) for _, _, check in plan for _, t, p, q in check)
         bq = builtin(rng.choice(ORACLE_ALGEBRAS))
         assert colorings(d, bq) == reference_colorings(d, bq), (gauss_string(d), bq)
     assert coincident == 40
@@ -485,7 +487,7 @@ def test_plan_derives_each_semiarc_once_from_known_ones():
     for d in diagrams:
         known = set()
         fused = single = checks = 0
-        for free, derive, check in _plan(d):
+        for free, derive, check in _plan(_constraints(d), d.n_semiarcs):
             assert free == min(set(range(d.n_semiarcs)) - known)
             known.add(free)
             for first, second, s, t, p, q in derive:
