@@ -390,4 +390,7 @@ def test_core_endomorphisms_are_the_affine_maps():
     # x -> ax + b for every a and b in Z_n, so n^2 of them; past order 15
     # the depth-first walk searches
     for n in list(range(3, 18)) + [24, 32, 33]:
-        assert len(endomorphisms(core_cyclic(n))) == n * n, n
+        affine = {tuple((a * x + b) % n + 1 for x in range(n))
+                  for a in range(n) for b in range(n)}
+        assert len(affine) == n * n
+        assert endomorphisms(core_cyclic(n)) == sorted(affine), n
