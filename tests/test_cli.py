@@ -343,6 +343,30 @@ def test_batch_matrix_terms_match_golden_digest(capsys):
     assert digest.hexdigest() == GOLDEN_BATCH_H2_DIGEST
 
 
+# (algebra, group) for the cocycle-invariant pin: flip2's over is not
+# trivial, so which two semiarcs of a crossing are paired matters; 30
+# of the 112 outputs carry q terms
+GOLDEN_STATE_SUM_CASES = [("flip2", "2"), ("swap3", "3"), ("core-4", "2"), ("core-6", "3")]
+# sha256 of the 112 `cocycle-invariant --json` outputs, recorded while
+# chain_vectors chose its two semiarcs by the crossing's sign
+GOLDEN_STATE_SUM_DIGEST = "b2e8bb209159ffdc8e01f95001da92fc4b988babde151fb4df706f2746bce91b"
+
+
+def test_cocycle_invariants_match_golden_digest(capsys):
+    digest = hashlib.sha256()
+    with_q = 0
+    for quandle, group in GOLDEN_STATE_SUM_CASES:
+        for name in catalog_names():
+            code, out, _ = run(
+                capsys, "cocycle-invariant", "--link", name, "--quandle", quandle,
+                "--group", group, "--cocycles", "h2-generators", "--json")
+            assert code == 0
+            with_q += "q" in out
+            digest.update(out.encode())
+    assert with_q == 30
+    assert digest.hexdigest() == GOLDEN_STATE_SUM_DIGEST
+
+
 def test_batch_classical_selects_the_l_named_links(capsys):
     code, out, _ = run(
         capsys, "batch", "--links", "classical", "--quandle", "swap3", "--group", "3",
