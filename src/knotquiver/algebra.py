@@ -10,7 +10,8 @@ Tables are row-major: under_table[x-1][y-1] = under(x, y).
 
 from functools import cached_property
 
-from .homset import solve
+from .homset import (OVER_INV, OVER_SWAP, THROUGH_INV_1, THROUGH_INV_2, UNDER,
+                     UNDER_INV, _stride, _tables, solve)
 
 
 def check_axioms(under, over):
@@ -67,16 +68,6 @@ def check_axioms(under, over):
     return problems
 
 
-def _column_inverse(table):
-    # inv[z - 1][y - 1] = x where table[x - 1][y - 1] = z
-    n = len(table)
-    inv = [[0] * n for _ in range(n)]
-    for x, row in enumerate(table, 1):
-        for y, z in enumerate(row):
-            inv[z - 1][y] = x
-    return inv
-
-
 class Biquandle:
     """A finite biquandle; validates its axioms on construction."""
 
@@ -89,21 +80,6 @@ class Biquandle:
             if problems:
                 extra = "" if len(problems) == 1 else " (and %d more)" % (len(problems) - 1)
                 raise ValueError("not a biquandle: %s%s" % (problems[0], extra))
-
-    # the inverse tables are built on first use: the coloring search
-    # reads the operation tables, so most loads never need them
-
-    @cached_property
-    def _under_inv(self):
-        return _column_inverse(self.under_table)
-
-    @cached_property
-    def _over_inv(self):
-        return _column_inverse(self.over_table)
-
-    @cached_property
-    def _through_inv(self):
-        return {self.through(a, b): (a, b) for a in self.elements for b in self.elements}
 
     @cached_property
     def _relations(self):
@@ -128,13 +104,16 @@ class Biquandle:
     def over(self, x, y):
         return self.over_table[x - 1][y - 1]
 
+    # the inverses read the coloring plan's tables (see homset._tables),
+    # built on first use: most loads never need them
+
     def under_inv(self, x, y):
         """The z with under(z, y) = x."""
-        return self._under_inv[x - 1][y - 1]
+        return _tables(self)[UNDER_INV][x * _stride(self.n) + y]
 
     def over_inv(self, x, y):
         """The z with over(z, y) = x."""
-        return self._over_inv[x - 1][y - 1]
+        return _tables(self)[OVER_INV][x * _stride(self.n) + y]
 
     def through(self, a, b):
         """Input pair (under, over) to output pair at a positive crossing."""
@@ -142,7 +121,9 @@ class Biquandle:
 
     def through_inv(self, c, d):
         """Output pair (under, over) back to the input pair."""
-        return self._through_inv[(c, d)]
+        i = c * _stride(self.n) + d
+        tables = _tables(self)
+        return (tables[THROUGH_INV_1][i], tables[THROUGH_INV_2][i])
 
     @property
     def is_quandle(self):
@@ -263,7 +244,17 @@ def endomorphisms(bq):
 
 
 def is_homomorphism(src, dst, images):
+    """Whether images, the 1-based image of each element, is a
+    homomorphism src -> dst: each relation (a, b, c, d) of src must
+    hold under it, read at one index f(a) * stride + f(b) of the tables
+    the coloring plan's (p1, p2) firing reads, under and over_swap."""
     if len(images) != src.n or any(y not in dst.elements for y in images):
         return False
-    return all(dst.through(images[a], images[b]) == (images[c], images[d])
-               for a, b, c, d in src._relations)
+    tables = _tables(dst)
+    under, over_swap = tables[UNDER], tables[OVER_SWAP]
+    size = _stride(dst.n)
+    for a, b, c, d in src._relations:
+        i = images[a] * size + images[b]
+        if under[i] != images[c] or over_swap[i] != images[d]:
+            return False
+    return True

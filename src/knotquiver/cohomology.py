@@ -23,9 +23,9 @@ a sequence of {pair index: coefficient} rows, one per triple, and each
 row is expanded from its indices only when it is read, so the Smith
 form expands only the rows it brings in (boundary_matrices reads them
 all, to dense d2 and d3).  The Smith form stops at a proven bound on
-the rank of d3^T: d2 @ d3 vanishes, so rank d3 <= p - rank d2, and
-rank d2 is taken over F_q for a large prime q, which can only
-underestimate the rational rank.  On a connected quandle the bound is
+the rank of d3^T: d2 @ d3 vanishes, so rank d3 <= p - rank d2, with
+rank d2 over Q read off the Smith form of d2's rows (one more Smith
+form per algebra, of n rows).  On a connected quandle the bound is
 the rank (rational H^2 vanishes), and the factorization stops once its
 pivots are found, without bringing in the rows past them.  A bounded
 Smith form keeps no row log, so no u, whether or not it stops early;
@@ -53,11 +53,8 @@ from functools import cached_property
 from math import gcd
 
 from .homset import chain_vectors, colorings, pair_basis
-from .intlinalg import rank_mod, snf
+from .intlinalg import snf
 from .polynomials import GroupExponentPolynomial
-
-# the prime for the rank of d2 that bounds the rank of d3^T
-RANK_PRIME = 2 ** 61 - 1
 
 
 @dataclass(frozen=True)
@@ -141,9 +138,9 @@ class _Complex:
     Smith form of d3^T, and H^2 per coefficient modulus.
 
     The Smith form of d3^T is told that its rank is at most p - rank d2,
-    with rank d2 over F_q (RANK_PRIME), at most its rank over Q.  The
-    check below makes the bound sound: d2 @ d3 = 0 puts the image of d3
-    in the kernel of d2.  The Smith form reads a row of d3^T only when
+    with rank d2 over Q from the Smith form of d2's rows.  The check
+    below makes the bound sound: d2 @ d3 = 0 puts the image of d3 in
+    the kernel of d2.  The Smith form reads a row of d3^T only when
     it brings the row in, so rows past the pivots are never expanded.
     Its result forms the sparse columns of v and rows of v^-1, the only
     parts the cohomology reads, from its column log on first read.
@@ -218,7 +215,8 @@ class _Complex:
 
     @cached_property
     def d3t_snf(self):
-        bound = self.npairs - rank_mod(self.d2, RANK_PRIME)
+        d2_rows = [{k: c for k, c in enumerate(row) if c} for row in self.d2]
+        bound = self.npairs - snf(d2_rows, self.npairs).rank
         return snf(self.d3t, self.npairs, bound)
 
 

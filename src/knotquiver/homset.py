@@ -377,21 +377,29 @@ def pair_basis(bq):
     ]
 
 
-def _pair_index(bq):
-    """{pair: index} over pair_basis, built once per Biquandle instance
-    and kept on it."""
-    index = getattr(bq, "_pair_index", None)
-    if index is None:
-        index = bq._pair_index = {p: i for i, p in enumerate(pair_basis(bq))}
-    return index
+def _pair_table(bq):
+    """The pair_basis index of each pair (x, y) at x * (n + 1) + y, and
+    p, the basis size, at every degenerate (x, x); built once per
+    Biquandle instance and kept on it."""
+    table = getattr(bq, "_chain_pairs", None)
+    if table is None:
+        stride = bq.n + 1
+        pairs = pair_basis(bq)
+        table = [len(pairs)] * (stride * stride)
+        for k, (x, y) in enumerate(pairs):
+            table[x * stride + y] = k
+        bq._chain_pairs = table
+    return table
 
 
 def chain_vector(diagram, bq, coloring):
     """Integer 2-chain of a coloring over the nondegenerate pair basis.
 
-    Positive crossings contribute +(under_in color, over_out color),
-    negative ones -(under_out color, over_in color); pairs with equal
-    entries are degenerate and dropped.
+    Each crossing contributes its sign times the pair of colors on the
+    slots p1 and q2 of its relation (see _constraints): at a positive
+    crossing +(under_in color, over_out color), at a negative one
+    -(under_out color, over_in color); pairs with equal entries are
+    degenerate and dropped.
     """
     return chain_vectors(diagram, bq, [coloring])[0]
 
@@ -399,21 +407,19 @@ def chain_vector(diagram, bq, coloring):
 def chain_vectors(diagram, bq, cols):
     """The chain_vector of every coloring in cols, in order.
 
-    The crossings are read once, into the two semiarcs each one pairs
-    and its sign.  A coloring then costs two itemgetter reads and, per
-    crossing, one lookup in a flat table over x * (n + 1) + y that sends
-    a degenerate pair to a spare last entry, dropped at the end.
+    The crossings are read once, into the slots p1 and q2 of each
+    relation and its sign.  A coloring then costs two itemgetter reads
+    and, per crossing, one lookup in the algebra's pair table (see
+    _pair_table), whose degenerate entry p is a spare last entry,
+    dropped at the end.
     """
-    index = _pair_index(bq)
-    size = len(index)
+    flat = _pair_table(bq)
+    size = bq.n * (bq.n - 1)
     stride = bq.n + 1
-    flat = [size] * (stride * stride)
-    for (x, y), k in index.items():
-        flat[x * stride + y] = k
-    crossings = diagram.crossings
-    first = _getter([c.under_in if c.sign > 0 else c.under_out for c in crossings])
-    second = _getter([c.over_out if c.sign > 0 else c.over_in for c in crossings])
-    signs = [c.sign for c in crossings]
+    cons = _constraints(diagram)
+    first = _getter([p1 for p1, _, _, _ in cons])
+    second = _getter([q2 for _, _, _, q2 in cons])
+    signs = [c.sign for c in diagram.crossings]
     vectors = []
     for col in cols:
         vec = [0] * (size + 1)

@@ -147,26 +147,6 @@ class SNFResult:
         return _replay_vec(self._inverse_log(), vec)
 
 
-def rank_mod(mat, q):
-    """Rank of an integer matrix over the field with q elements (q prime);
-    at most its rank over the rationals."""
-    rows = [[x % q for x in row] for row in mat]
-    rank = 0
-    for j in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][j], -1, q)
-        prow = [x * inv % q for x in rows[rank]]
-        for i in range(rank + 1, len(rows)):
-            c = rows[i][j]
-            if c:
-                rows[i] = [(x - c * y) % q for x, y in zip(rows[i], prow)]
-        rank += 1
-    return rank
-
-
 def snf(rows, ncols, rank_bound=None):
     """Smith normal form of the matrix with the given rows, one
     {column: value} dict each, and ncols columns: diag and logs of the

@@ -13,7 +13,8 @@ pairs in VAR_PRECEDENCE order, each variable at most once, no zero
 exponent, group exponents reduced mod m.  monomial and collect produce
 polynomials in this form: monomial builds its key from an exponent
 dict, and collect, the one place that sums like terms, takes keys
-already in it.
+already in it.  The constructor takes keys of (variable, exponent)
+pairs in any order and makes them canonical before it collects them.
 
 Terms render without spaces, highest term first under the precedence
 x > y > s > t > z; q-terms render in ascending order instead so small
@@ -52,16 +53,31 @@ class GroupExponentPolynomial:
     """Integer-coefficient polynomial with group-valued exponents on x, y, q.
 
     terms maps canonical keys (see the module docstring), such as
-    (("x", 2), ("z", 3)), to nonzero coefficients; collect and monomial
-    produce them.  Sums, products and specialize build through collect,
-    so render reads each key's variables in stored order.
+    (("x", 2), ("z", 3)), to nonzero coefficients.  The constructor
+    makes the keys it is given canonical, so (("z", 1), ("x", 1)) is
+    stored as (("x", 1), ("z", 1)); collect and monomial build from
+    canonical keys without that pass.  Sums, products and specialize
+    build through collect, so render reads each key's variables in
+    stored order.
     """
 
     __slots__ = ("terms", "modulus")
 
     def __init__(self, terms=None, modulus=0):
-        self.terms = dict(terms) if terms else {}
+        canon = self.collect(
+            ((_merge_keys((), key, modulus), c) for key, c in dict(terms or {}).items()),
+            modulus)
+        self.terms = canon.terms
         self.modulus = modulus
+
+    @classmethod
+    def _of(cls, terms, modulus):
+        """A polynomial with terms as given: canonical keys, nonzero
+        coefficients."""
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        poly.modulus = modulus
+        return poly
 
     @classmethod
     def collect(cls, pairs, modulus=0):
@@ -70,23 +86,22 @@ class GroupExponentPolynomial:
         terms = {}
         for key, c in pairs:
             terms[key] = terms.get(key, 0) + c
-        return cls({k: c for k, c in terms.items() if c}, modulus)
+        return cls._of({k: c for k, c in terms.items() if c}, modulus)
 
     @classmethod
     def zero(cls, modulus=0):
-        return cls({}, modulus)
+        return cls._of({}, modulus)
 
     @classmethod
     def constant(cls, c, modulus=0):
-        return cls({(): c} if c else {}, modulus)
+        return cls._of({(): c} if c else {}, modulus)
 
     @classmethod
     def monomial(cls, coeff, exps, modulus=0):
         """exps: dict var -> exponent."""
         if not coeff:
-            return cls({}, modulus)
-        key = _make_key(exps, modulus)
-        return cls({key: coeff}, modulus)
+            return cls._of({}, modulus)
+        return cls._of({_make_key(exps, modulus): coeff}, modulus)
 
     def _join_modulus(self, other):
         a, b = self.modulus, other.modulus
@@ -215,7 +230,7 @@ def char_poly(mat):
             terms[(("t", n - k),) if k < n else ()] = c
         elif not any(map(any, work)):
             break
-    return GroupExponentPolynomial(terms)
+    return GroupExponentPolynomial._of(terms, 0)
 
 
 def matrix_poly(mat, row_labels, col_labels, modulus, row_var="x", col_var="y"):

@@ -220,8 +220,9 @@ def test_non_integer_entry_rejected(entry):
 
 def test_inverses_and_through_map():
     for bq in (core_cyclic(5), swap3(), constant_action_biquandle_z2()):
-        # the inverse tables are built on first use, not on load
-        assert not {"_under_inv", "_over_inv", "_through_inv"} & set(vars(bq))
+        # the inverses read the coloring tables, built on first use, not
+        # on load
+        assert "_coloring_tables" not in vars(bq)
         for x in bq.elements:
             for y in bq.elements:
                 assert bq.under(bq.under_inv(x, y), y) == x
@@ -377,13 +378,38 @@ def test_homomorphisms_match_brute_force():
     for src in algebras:
         for dst in algebras:
             if dst.n ** src.n <= 1024:
-                assert homomorphisms(src, dst) == brute_force_homomorphisms(src, dst), (src, dst)
+                expected = brute_force_homomorphisms(src, dst)
+                assert homomorphisms(src, dst) == expected, (src, dst)
+                assert accepted_maps(src, dst) == expected, (src, dst)
     affine = affine_tables()
     assert len(affine) == 52
     rng = random.Random(26)
     for src, dst in zip(rng.sample(affine, 12), rng.sample(affine, 12)):
         for pair in ((src, src), (src, dst)):
-            assert homomorphisms(*pair) == brute_force_homomorphisms(*pair), pair
+            expected = brute_force_homomorphisms(*pair)
+            assert homomorphisms(*pair) == expected, pair
+            assert accepted_maps(*pair) == expected, pair
+
+
+def accepted_maps(src, dst):
+    """The maps src -> dst that is_homomorphism accepts, among all
+    dst.n ** src.n of them, in lexicographic order."""
+    return [f for f in itertools.product(dst.elements, repeat=src.n)
+            if is_homomorphism(src, dst, f)]
+
+
+@pytest.mark.parametrize("n", [17, 33])
+def test_is_homomorphism_on_list_tables(n):
+    # past order 15 the tables are lists of stride n + 1: every affine map
+    # x -> ax + b of core-n passes, and fails once one image is changed
+    bq = core_cyclic(n)
+    for a in range(n):
+        for b in range(n):
+            f = [(a * x + b) % n + 1 for x in range(n)]
+            assert is_homomorphism(bq, bq, f), (a, b)
+            x = (a + b) % n
+            f[x] = f[x] % n + 1
+            assert not is_homomorphism(bq, bq, f), (a, b)
 
 
 def test_core_endomorphisms_are_the_affine_maps():

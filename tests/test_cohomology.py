@@ -173,6 +173,8 @@ def test_bounded_d3t_smith_form_matches_reference(name):
 def test_d3t_rank_against_its_bound(name, rank, bound):
     cx = cohomology._Complex(builtin(name))
     assert cx.npairs - rank_mod_prime(cx.d2, 2 ** 31 - 1) == bound
+    # the bound d3t_snf takes, from the Smith rank of d2 over Q
+    assert cx.npairs - snf(sparse_rows(cx.d2), cx.npairs).rank == bound
     res = cx.d3t_snf
     assert res.rank == rank
     # under a bound, reached or not, the row transform is refused; the

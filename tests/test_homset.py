@@ -224,6 +224,14 @@ def reference_colorings(diagram, bq):
     a crossing force, and fails on the first clash."""
     n = diagram.n_semiarcs
     cons = _constraints(diagram)
+    # the inverses straight from the operation tables, not homset._tables
+    under_inv, over_inv, through_inv = {}, {}, {}
+    for a in bq.elements:
+        for b in bq.elements:
+            u, o_ba = bq.under_table[a - 1][b - 1], bq.over_table[b - 1][a - 1]
+            under_inv[u, b] = a
+            over_inv[bq.over_table[a - 1][b - 1], b] = a
+            through_inv[u, o_ba] = (a, b)
     touching = {}
     for idx, quad in enumerate(cons):
         for s in set(quad):
@@ -240,13 +248,13 @@ def reference_colorings(diagram, bq):
                 q1, q2 = bq.through(va, vb)
                 derived = ((c, q1), (d, q2))
             elif vc and vd:
-                p1, p2 = bq.through_inv(vc, vd)
+                p1, p2 = through_inv[vc, vd]
                 derived = ((a, p1), (b, p2))
             elif va and vd:
-                p2 = bq.over_inv(vd, va)
+                p2 = over_inv[vd, va]
                 derived = ((b, p2), (c, bq.under(va, p2)))
             elif vb and vc:
-                p1 = bq.under_inv(vc, vb)
+                p1 = under_inv[vc, vb]
                 derived = ((a, p1), (d, bq.over(vb, p1)))
             else:
                 continue
@@ -439,8 +447,9 @@ def test_colorings_never_overwrite_a_known_semiarc():
 
 @pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
 def test_lookup_tables_match_the_operations(name):
-    # every (x, y): each first table is one operation, and the second
-    # table of each fused firing is its two single lookups in a row
+    # every (x, y): each first table is one operation or an inverse,
+    # checked by its defining equation, and the second table of each
+    # fused firing is its two single lookups in a row
     bq = builtin(name)
     size = homset._stride(bq.n)
     tables = homset._tables(bq)
@@ -449,11 +458,12 @@ def test_lookup_tables_match_the_operations(name):
             under, over, under_inv, over_inv, inv_1, inv_2, swap, u_oi, o_ui = (
                 table[x * size + y] for table in tables)
             assert (under, over) == (bq.under(x, y), bq.over(x, y))
-            assert (under_inv, over_inv) == (bq.under_inv(x, y), bq.over_inv(x, y))
-            assert (inv_1, inv_2) == bq.through_inv(x, y)
+            assert bq.under(under_inv, y) == x
+            assert bq.over(over_inv, y) == x
+            assert bq.through(inv_1, inv_2) == (x, y)
             assert swap == bq.over(y, x)
-            assert u_oi == bq.under(y, bq.over_inv(x, y))
-            assert o_ui == bq.over(y, bq.under_inv(x, y))
+            assert u_oi == bq.under(y, over_inv)
+            assert o_ui == bq.over(y, under_inv)
 
 
 def test_colorings_match_reference_on_r1_kink_closures():

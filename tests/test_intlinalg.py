@@ -6,7 +6,7 @@ import pytest
 from knotquiver.algebra import alexander_cyclic, builtin, core_cyclic
 from knotquiver import cohomology
 from knotquiver.cohomology import boundary_matrices
-from knotquiver.intlinalg import identity, mat_mul, rank_mod, snf, transpose
+from knotquiver.intlinalg import identity, mat_mul, snf, transpose
 
 
 # reference helpers, also used by test_cohomology.py; solve and
@@ -449,15 +449,6 @@ def test_snf_rejects_a_bound_below_the_rank_it_sees():
     # nonzero after one pivot
     with pytest.raises(ValueError, match="rank above rank_bound 1"):
         snf(sparse_rows([[2, 0], [0, 2]]), 2, 1)
-
-
-def test_rank_mod_matches_reference():
-    rng = random.Random(37)
-    for _ in range(100):
-        mat = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), -3, 3)
-        for q in (2, 3, 5, 2 ** 61 - 1):
-            assert rank_mod(mat, q) == rank_mod_prime(mat, q)
-    assert rank_mod([], 7) == 0
 
 
 def solve_through_u(res, rhs):

@@ -66,6 +66,17 @@ def test_group_exponents_wrap():
         mono(1, 3, x=1) * mono(1, 4, x=1)
 
 
+def test_constructor_makes_keys_canonical():
+    # a key with its variables out of order, or a group exponent past the
+    # modulus, is stored as monomial would build it
+    zx = P({(("z", 1), ("x", 1)): 1}, 3)
+    assert zx == P.monomial(1, {"x": 1, "z": 1}, 3)
+    assert zx.render() == "xz"
+    assert (zx + zx).render() == "2xz"
+    assert P({(("x", 4),): 1}, 3) == mono(1, 3, x=1)
+    assert P({(("z", 1), ("x", 1)): 1, (("x", 1), ("z", 1)): -1}, 3) == 0
+
+
 def test_arithmetic():
     a = mono(2, t=1) + 3
     b = mono(1, t=1) - 1
