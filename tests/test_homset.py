@@ -142,7 +142,7 @@ def test_braid_relation_preserves_chains():
 
 
 def test_coloring_lookups_built_once_per_algebra(monkeypatch):
-    # the operation tables of colorings and the pair index of chain_vector
+    # the operation tables of colorings and the pair table of chain_vector
     # are built on first use and kept on the algebra
     bq = core_cyclic(5)
     diagrams = [braid_closure([1, 1, 1]), braid_closure([1, -2, 1, -2])]
