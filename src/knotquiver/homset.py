@@ -155,7 +155,8 @@ def _tables(bq):
     operation tables; up to order 15 they are 256-byte bytes objects,
     ready for bytes.translate, and lists above.  Built once per
     Biquandle instance and kept on it, like the cochain complex; the
-    tables are not expected to change after construction.
+    tables are not expected to change after construction.  The
+    Biquandle's inverses and algebra.is_homomorphism read them too.
     """
     tables = getattr(bq, "_coloring_tables", None)
     if tables is None:
