@@ -367,6 +367,39 @@ def test_cocycle_invariants_match_golden_digest(capsys):
     assert digest.hexdigest() == GOLDEN_STATE_SUM_DIGEST
 
 
+# (algebra, group, cocycles, endomorphisms) for the quiver pin: swap3
+# with the published vectors, and the algebras of the state-sum pin with
+# their h2-generators and the endomorphisms of the batch pins
+GOLDEN_QUIVER_CASES = [
+    ("swap3", "3", SWAP3_VECTORS, "[[2,2,1]]"),
+    ("flip2", "2", "h2-generators", "[[2,1]]"),
+    ("core-4", "2", "h2-generators", "[[1,3,1,3],[2,3,4,1]]"),
+    ("core-6", "3", "h2-generators", "[[1,3,5,1,3,5],[2,1,6,5,4,3]]"),
+]
+# sha256 of the 112 `quiver` outputs over the catalog and then the 2
+# `batch --group-by pm_path` outputs of GOLDEN_BATCH_H2_CASES, recorded
+# while the plan's tables were read off the operation tables
+GOLDEN_QUIVER_DIGEST = "e2a5c8761a47cef4504072a4a41d3a92d669d3a41b781acc5e0cef82bbde3a52"
+
+
+def test_quivers_and_groupings_match_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for quandle, group, cocycles, endos in GOLDEN_QUIVER_CASES:
+        for name in catalog_names():
+            code, out, _ = run(
+                capsys, "quiver", "--link", name, "--quandle", quandle, "--group", group,
+                "--cocycles", cocycles, "--endos", endos)
+            assert code == 0
+            digest.update(out.encode())
+    for quandle, group, endos in GOLDEN_BATCH_H2_CASES:
+        code, out, _ = run(
+            capsys, "batch", "--links", "all", "--quandle", quandle, "--group", group,
+            "--cocycles", "h2-generators", "--endos", endos, "--group-by", "pm_path")
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == GOLDEN_QUIVER_DIGEST
+
+
 def test_batch_classical_selects_the_l_named_links(capsys):
     code, out, _ = run(
         capsys, "batch", "--links", "classical", "--quandle", "swap3", "--group", "3",
