@@ -84,8 +84,11 @@ class Biquandle:
     @cached_property
     def _relations(self):
         """Every pair (a, b) as the crossing relation (a, b, under(a, b),
-        over(b, a)) on 0-based slots: a map is a homomorphism from this
-        algebra exactly when it carries each to through of its images."""
+        over(b, a)) on 0-based slots, in row-major order of (a, b): a
+        map is a homomorphism from this algebra exactly when it carries
+        each to through of its images.  The one list every derived
+        table reads: the coloring plan's tables (homset._tables) and
+        the cochain complex (cohomology._Complex)."""
         over = self.over_table
         return [(a, b, u - 1, over[b][a] - 1)
                 for a, row in enumerate(self.under_table) for b, u in enumerate(row)]

@@ -9,9 +9,11 @@ Boundaries:
                   - (under(x, y), over(z, y)) - (x, y)
                   + (under(x, z), under(y, z))
 
-with degenerate pairs dropped.  Cochains take values in Z (modulus 0)
-or Z_m; a 2-cochain is a vector over the pair basis, and its
-coboundary is d3^T applied to it.
+with degenerate pairs dropped.  Both read the relations (x, y, c, d),
+c = under(x, y) and d = over(y, x), of Biquandle._relations: d2(x, y)
+= x + y - c - d, and d3(x, y, z) reads c and d of (x, y), (x, z) and
+(y, z).  Cochains take values in Z (modulus 0) or Z_m; a 2-cochain is
+a vector over the pair basis, and its coboundary is d3^T applied to it.
 
 The complex is built once per algebra, in one pass over the triples,
 and kept on the Biquandle instance: d2 as a dense matrix and d3 as six
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .homset import chain_vectors, colorings, pair_basis
+from .homset import _pair_table, chain_vectors, colorings
 from .intlinalg import snf
 from .polynomials import GroupExponentPolynomial
 
@@ -130,11 +132,11 @@ class _D3tRows:
 
 
 class _Complex:
-    """The cochain complex of one biquandle, built in one pass over the
-    triples: d2 as a dense n x p matrix, the pair count p, d3 as terms,
-    one tuple of six pair indices per triple in triple_basis order, and
-    d3^T as a _D3tRows over them, whose rows are expanded only when
-    read.  On first use it adds the nonzeros of each column of d2, the
+    """The cochain complex of one biquandle, read off its relations in
+    one pass over the pairs and one over the triples: d2 as a dense
+    n x p matrix, the pair count p, d3 as terms, one tuple of six pair
+    indices per triple in triple_basis order, and d3^T as a _D3tRows
+    over them, whose rows are expanded only when read.  On first use it adds the nonzeros of each column of d2, the
     Smith form of d3^T, and H^2 per coefficient modulus.
 
     The Smith form of d3^T is told that its rank is at most p - rank d2,
@@ -167,38 +169,37 @@ class _Complex:
 
     def __init__(self, bq):
         n = bq.n
-        # 0-based tables; OT[x][y] = over(y, x), column x of over as a row
-        U = [[v - 1 for v in row] for row in bq.under_table]
-        O = [[v - 1 for v in row] for row in bq.over_table]
-        OT = [list(col) for col in zip(*O)]
-        pairs = pair_basis(bq)
-        p = self.npairs = len(pairs)
-        # index[a][b]: the basis index of the pair (a + 1, b + 1), or p
-        # when a == b (a degenerate pair)
-        index = [[p] * n for _ in range(n)]
+        rels = bq._relations
+        p = self.npairs = n * (n - 1)
+        # index[x][y]: the basis index of the pair (x + 1, y + 1), or p
+        # when x == y (a degenerate pair), row x of the chains' pair table
+        flat, stride = _pair_table(bq), n + 1
+        index = [flat[i + 1:i + stride] for i in range(stride, stride * stride, stride)]
         d2 = [[0] * p for _ in range(n)]
         packed = []
-        for k, (x, y) in enumerate(pairs):
-            x, y = x - 1, y - 1
-            index[x][y] = k
-            col = ((x, 1), (y, 1), (U[x][y], -1), (O[y][x], -1))
-            for i, c in col:
-                d2[i][k] += c
-            packed.append(sum(c << 6 * i for i, c in col))
+        for k, (x, y, c, d) in enumerate([r for r in rels if r[0] != r[1]]):
+            col = ((x, 1), (y, 1), (c, -1), (d, -1))
+            for i, v in col:
+                d2[i][k] += v
+            packed.append(sum(v << 6 * i for i, v in col))
         packed.append(0)
+        # rows x of C and D: c = under(x, y) and d = over(y, x) of the
+        # relations (x, y, c, d)
+        C = [[c for _, _, c, _ in rels[x * n:x * n + n]] for x in range(n)]
+        D = [[d for _, _, _, d in rels[x * n:x * n + n]] for x in range(n)]
         terms = []
         for x in range(n):
-            Ux, OTx, ix = U[x], OT[x], index[x]
+            Cx, Dx, ix = C[x], D[x], index[x]
             for y in range(n):
                 if y == x:
                     continue
-                Uy, OTy, iy = U[y], OT[y], index[y]
-                i_oyx, i_uxy, kxy = index[OTx[y]], index[Ux[y]], ix[y]
+                Cy, Dy, iy = C[y], D[y], index[y]
+                i_dxy, i_cxy, kxy = index[Dx[y]], index[Cx[y]], ix[y]
                 for z in range(n):
                     if z == y:
                         continue
-                    a, b, c = i_oyx[OTx[z]], ix[z], index[Ux[z]][Uy[z]]
-                    d, e = iy[z], i_uxy[OTy[z]]
+                    a, b, c = i_dxy[Dx[z]], ix[z], index[Cx[z]][Cy[z]]
+                    d, e = iy[z], i_cxy[Dy[z]]
                     if packed[a] + packed[b] + packed[c] - packed[d] - packed[e] - packed[kxy]:
                         raise ValueError("boundary maps do not compose to zero for %r" % bq)
                     terms.append((a, b, c, d, e, kxy))

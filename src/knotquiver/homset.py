@@ -23,6 +23,9 @@ relations it completes.  Each relation belongs to exactly one level
 and is verified there once.  A relation that fires with two known
 slots derives the other two from one index into two flat tables of the
 same shape (see _tables), so it costs one index computation, not two.
+The tables are read off the algebra's own relations, so the crossing
+convention is written once for a diagram, in _constraints, and once
+for an algebra, in Biquandle._relations.
 
 Every partial solution of a level runs the same straight-line program,
 so for algebras of order up to 15 the search runs a whole level at
@@ -37,11 +40,11 @@ of thousands of levels needs no recursion.
 from itertools import compress
 from operator import itemgetter
 
-# the nine lookup tables of _tables, in this order: the six operations,
-# then the second table of the fused firings from (p1, p2) and from
-# (q2, p1) and (q1, p2)
-(UNDER, OVER, UNDER_INV, OVER_INV, THROUGH_INV_1, THROUGH_INV_2,
- OVER_SWAP, UNDER_AT_OVER_INV, OVER_AT_UNDER_INV) = range(9)
+# the eight lookup tables of _tables, in this order: under, its and
+# over's inverses and the two halves of through_inv, then the second
+# table of the fused firings from (p1, p2), (q2, p1) and (q1, p2)
+(UNDER, UNDER_INV, OVER_INV, THROUGH_INV_1, THROUGH_INV_2,
+ OVER_SWAP, UNDER_AT_OVER_INV, OVER_AT_UNDER_INV) = range(8)
 
 
 def _constraints(diagram):
@@ -70,17 +73,17 @@ def _plan(cons, n):
     A relation (p1, p2, q1, q2) fires once two of its slots fix the
     rest, in one of four forms: (p1, p2) by through, (q1, q2) by
     through_inv, (q2, p1) and (q1, p2) by one inverse and one forward
-    lookup.  Each form states the relation in full as two single
-    lookups.  When both of the other slots are unknown and
-    distinct, the firing is one fused step that reads both from the
-    same index.  Otherwise each single lookup whose target is already
-    known becomes a check, and one whose target is unknown a derive
-    step (table, table, t, t, p, q) that writes t twice; this covers a
-    relation that fires with three of its slots known, and an R1 kink
-    or a diagonal pair (a, a), whose two targets are the same slot.  A
-    relation that fires with all four known is checked in full, and one
-    that fires with two known holds by construction.  Each relation
-    fires exactly once.
+    lookup.  Each form is a step (first, second, s, t, p, q) that reads
+    the two other slots s and t at the index of the known p and q.
+    When s and t are unknown and distinct, the firing is that fused
+    step.  Otherwise its two single lookups (first, s, p, q) and
+    (second, t, p, q), at the same index, each become a check if their
+    target is known and else a derive step (table, table, t, t, p, q)
+    that writes t twice; this covers a relation that fires with three
+    of its slots known, and an R1 kink or a diagonal pair (a, a), whose
+    two targets are the same slot.  A relation that fires with all four
+    known is checked in full, and one that fires with two known holds
+    by construction.  Each relation fires exactly once.
     """
     touching = [[] for _ in range(n)]
     for idx, quad in enumerate(cons):
@@ -101,28 +104,24 @@ def _plan(cons, n):
                 continue
             a, b, c, d = cons[idx]
             if known[a] and known[b]:
-                fused = (UNDER, OVER_SWAP, c, d, a, b)
-                steps = ((UNDER, c, a, b), (OVER, d, b, a))
+                step = (UNDER, OVER_SWAP, c, d, a, b)
             elif known[c] and known[d]:
-                fused = (THROUGH_INV_1, THROUGH_INV_2, a, b, c, d)
-                steps = ((THROUGH_INV_1, a, c, d), (THROUGH_INV_2, b, c, d))
+                step = (THROUGH_INV_1, THROUGH_INV_2, a, b, c, d)
             elif known[a] and known[d]:
-                fused = (OVER_INV, UNDER_AT_OVER_INV, b, c, d, a)
-                steps = ((OVER_INV, b, d, a), (UNDER, c, a, b))
+                step = (OVER_INV, UNDER_AT_OVER_INV, b, c, d, a)
             elif known[b] and known[c]:
-                fused = (UNDER_INV, OVER_AT_UNDER_INV, a, d, c, b)
-                steps = ((UNDER_INV, a, c, b), (OVER, d, b, a))
+                step = (UNDER_INV, OVER_AT_UNDER_INV, a, d, c, b)
             else:
                 continue
             fired[idx] = True
-            s, t = fused[2], fused[3]
+            first, second, s, t, p, q = step
             if s != t and not known[s] and not known[t]:
-                derive.append(fused)
+                derive.append(step)
                 known[s] = known[t] = True
                 new = (s, t)
             else:
                 new = []
-                for k, target, p, q in steps:
+                for k, target in ((first, s), (second, t)):
                     if known[target]:
                         check.append((k, target, p, q))
                     else:
@@ -146,46 +145,37 @@ def _stride(n):
 
 
 def _tables(bq):
-    """The nine tables of the plan, flat: table[x * _stride(n) + y].
+    """The eight tables of the plan, flat: table[x * _stride(n) + y].
 
-    The six operations under, over, under_inv, over_inv and the two
-    halves of through_inv, then the second tables of the fused firings:
-    over(y, x), under(y, over_inv(x, y)) and over(y, under_inv(x, y)).
-    All nine are filled in one pass over the input pairs (a, b) of the
-    operation tables; up to order 15 they are 256-byte bytes objects,
-    ready for bytes.translate, and lists above.  Built once per
-    Biquandle instance and kept on it, like the cochain complex; the
-    tables are not expected to change after construction.  The
-    Biquandle's inverses and algebra.is_homomorphism read them too.
+    Two per firing form of _plan, read at the index of its known pair:
+    under(x, y) and over(y, x) at (p1, p2), the two halves of
+    through_inv at (q1, q2), over_inv(x, y) and under(y, over_inv(x, y))
+    at (q2, p1), and under_inv(x, y) and over(y, under_inv(x, y)) at
+    (q1, p2).  All eight are filled in one pass over the algebra's
+    relations (see Biquandle._relations): each relation writes its two
+    other slots at the index of each of those four pairs.  Up to order
+    15 they are 256-byte bytes objects, ready for bytes.translate, and
+    lists above.  Built once per Biquandle instance and kept on it, like
+    the cochain complex; the tables are not expected to change after
+    construction.  The Biquandle's inverses and
+    algebra.is_homomorphism read them too.
     """
     tables = getattr(bq, "_coloring_tables", None)
     if tables is None:
         size = _stride(bq.n)
-        tables = [[0] * (size * size) for _ in range(9)]
-        (under, over, under_inv, over_inv, through_inv_1, through_inv_2,
+        tables = [[0] * (size * size) for _ in range(8)]
+        (under, under_inv, over_inv, through_inv_1, through_inv_2,
          over_swap, under_at_over_inv, over_at_under_inv) = tables
-        # rows of under(a, -), over(a, -), under(-, a), over(-, a), with a
-        # 0 in front so that they are indexed by the 1-based element b
-        u_rows = [[0] + row for row in bq.under_table]
-        o_rows = [[0] + row for row in bq.over_table]
-        u_cols = [[0] + list(col) for col in zip(*bq.under_table)]
-        o_cols = [[0] + list(col) for col in zip(*bq.over_table)]
-        elements = bq.elements
-        for a in elements:
-            u_row, o_row, u_col, o_col = u_rows[a - 1], o_rows[a - 1], u_cols[a - 1], o_cols[a - 1]
-            base = a * size
-            for b in elements:
-                # under(a, b), over(a, b), under(b, a), over(b, a)
-                u, o, u_ba, o_ba = u_row[b], o_row[b], u_col[b], o_col[b]
-                under[base + b] = u
-                over[base + b] = o
-                over_swap[base + b] = o_ba
-                under_inv[u * size + b] = a
-                over_inv[o * size + b] = a
-                through_inv_1[u * size + o_ba] = a
-                through_inv_2[u * size + o_ba] = b
-                under_at_over_inv[o * size + b] = u_ba
-                over_at_under_inv[u * size + b] = o_ba
+        for a, b, c, d in bq._relations:
+            a, b, c, d = a + 1, b + 1, c + 1, d + 1
+            i = a * size + b
+            under[i], over_swap[i] = c, d
+            i = c * size + d
+            through_inv_1[i], through_inv_2[i] = a, b
+            i = d * size + a
+            over_inv[i], under_at_over_inv[i] = b, c
+            i = c * size + b
+            under_inv[i], over_at_under_inv[i] = a, d
         if size == BYTE_STRIDE:
             tables = [bytes(table) for table in tables]
         bq._coloring_tables = tables

@@ -33,6 +33,7 @@ from knotquiver.homset import chain_vector, colorings, pair_basis
 from knotquiver.intlinalg import snf, transpose
 from knotquiver.quiver import DataVector
 
+from test_algebra import affine_tables
 from test_intlinalg import (
     assert_no_row_transform,
     kernel_basis,
@@ -225,6 +226,25 @@ def test_sparse_complex_rejects_what_the_dense_check_rejects():
         assert got == want
         outcomes[isinstance(want, str)] += 1
     assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_complex_matches_dense_reference_on_affine_biquandles():
+    # over(x, y) reads both arguments in 22 of the 52, so a relation slot
+    # read transposed would show: 15 complexes match the dense matrices
+    # and 37 tables fail d2 @ d3 = 0 in both builders, with one message
+    built = 0
+    for bq in affine_tables():
+        try:
+            want = reference_boundary_matrices(bq)
+        except ValueError as exc:
+            want = str(exc)
+        try:
+            got = boundary_matrices(bq)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, bq
+        built += not isinstance(want, str)
+    assert built == 15
 
 
 def reference_is_cocycle(bq, coeff, vec):

@@ -29,6 +29,8 @@ from knotquiver.homset import (
     push_forward,
 )
 
+from test_algebra import affine_tables
+
 
 def ref_l4():
     # antiparallel 4-crossing torus link used for chain calibration: two
@@ -445,19 +447,17 @@ def test_colorings_never_overwrite_a_known_semiarc():
         assert colorings(d, bq) == reference_colorings(d, bq), name
 
 
-@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
-def test_lookup_tables_match_the_operations(name):
+def check_lookup_tables(bq):
     # every (x, y): each first table is one operation or an inverse,
     # checked by its defining equation, and the second table of each
     # fused firing is its two single lookups in a row
-    bq = builtin(name)
     size = homset._stride(bq.n)
     tables = homset._tables(bq)
     for x in bq.elements:
         for y in bq.elements:
-            under, over, under_inv, over_inv, inv_1, inv_2, swap, u_oi, o_ui = (
+            under, under_inv, over_inv, inv_1, inv_2, swap, u_oi, o_ui = (
                 table[x * size + y] for table in tables)
-            assert (under, over) == (bq.under(x, y), bq.over(x, y))
+            assert under == bq.under(x, y)
             assert bq.under(under_inv, y) == x
             assert bq.over(over_inv, y) == x
             assert bq.through(inv_1, inv_2) == (x, y)
@@ -466,10 +466,25 @@ def test_lookup_tables_match_the_operations(name):
             assert o_ui == bq.over(y, under_inv)
 
 
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_lookup_tables_match_the_operations(name):
+    check_lookup_tables(builtin(name))
+
+
+def test_lookup_tables_match_the_operations_on_affine_biquandles():
+    affine = affine_tables()
+    assert len(affine) == 52
+    # over(x, y) reads y as well in 22 of them, so a table filled at
+    # (y, x) where (x, y) was meant would show
+    assert sum(any(len(set(row)) > 1 for row in bq.over_table) for bq in affine) == 22
+    for bq in affine:
+        check_lookup_tables(bq)
+
+
 def test_colorings_match_reference_on_r1_kink_closures():
     # a kink's loop joins an in and an out semiarc of one crossing; when
     # the crossing fires from its other two, both targets are the loop,
-    # which is derived once and then checked against the second lookup
+    # which the first lookup derives and the second checks
     rng = random.Random(12)
     coincident = 0
     for _ in range(40):
@@ -477,7 +492,9 @@ def test_colorings_match_reference_on_r1_kink_closures():
         d = r1_kink(base, rng.randrange(base.n_semiarcs), sign=rng.choice((1, -1)),
                     over_first=rng.random() < 0.5)
         plan = _plan(_constraints(d), d.n_semiarcs)
-        coincident += any(t in (p, q) for _, _, check in plan for _, t, p, q in check)
+        # a single derive step whose target its level checks at the same pair
+        coincident += any(s == t and (s, p, q) in [step[1:] for step in check]
+                          for _, derive, check in plan for _, _, s, t, p, q in derive)
         bq = builtin(rng.choice(ORACLE_ALGEBRAS))
         assert colorings(d, bq) == reference_colorings(d, bq), (gauss_string(d), bq)
     assert coincident == 40
