@@ -24,6 +24,7 @@ none with the cocycle.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .algebra import Biquandle, is_homomorphism
@@ -195,11 +196,65 @@ def _transition_tables(quiver):
     return tables
 
 
+def _match(sig1, sig2, t1, t2):
+    """Whether a bijection sends each vertex v of the first quiver to one
+    of signature sig1[v] in the second, and every arrow to an arrow of
+    the same map.  The first quiver's vertices are placed breadth first
+    along their arrows, each component from its lowest vertex, so a
+    vertex reached from a placed one has one candidate image; a
+    component's first vertex has its whole signature class.  It
+    backtracks over a stack of candidate iterators, one per placed
+    vertex, and checks every arrow once the bijection is full.
+    """
+    n = len(sig1)
+    maps = range(len(t1))
+    pool = {}
+    for j, sig in enumerate(sig2):
+        pool.setdefault(sig, []).append(j)
+    # (vertex, (map, placed vertex) of the arrow reaching it, or None)
+    order, seen, head = [], [False] * n, 0
+    for root in range(n):
+        if not seen[root]:
+            seen[root] = True
+            order.append((root, None))
+        while head < len(order):
+            p = order[head][0]
+            head += 1
+            for k in maps:
+                v = t1[k][p][0]
+                if not seen[v]:
+                    seen[v] = True
+                    order.append((v, (k, p)))
+    match, used = [None] * n, [False] * n
+    stack = [iter(pool[sig1[0]])]
+    while stack:
+        v = order[len(stack) - 1][0]
+        if match[v] is not None:
+            used[match[v]] = False
+            match[v] = None
+        for j in stack[-1]:
+            if not used[j] and sig2[j] == sig1[v] and all(
+                    match[t1[k][v][0]] in (None, t2[k][j][0]) for k in maps):
+                break
+        else:
+            stack.pop()
+            continue
+        match[v] = j
+        used[j] = True
+        if len(stack) < n:
+            v, link = order[len(stack)]
+            stack.append(iter(pool[sig1[v]] if link is None else (t2[link[0]][match[link[1]]][0],)))
+        elif all(match[t1[k][u][0]] == t2[k][match[u]][0] for k in maps for u in range(n)):
+            return True
+    return False
+
+
 def quiver_isomorphic(q1, q2):
     """Vertex bijection respecting arrows, matrices and subspaces.
 
     Both quivers must use the same number of endomorphisms in the same
-    order; arrows are matched per endomorphism index.
+    order; arrows are matched per endomorphism index.  Vertex signatures
+    (subspace, arrow matrices) that differ as multisets need no search.
     """
     if q1.modulus != q2.modulus or len(q1.endos) != len(q2.endos):
         return False
@@ -209,48 +264,8 @@ def quiver_isomorphic(q1, q2):
     t1, t2 = _transition_tables(q1), _transition_tables(q2)
     if any(len(t) != n for t in t1 + t2):
         return False
-
-    def signature(quiver, tables, i):
-        return (
-            quiver.subspaces[i],
-            tuple(tables[k][i][1] for k in range(len(tables))),
-        )
-
-    sig1 = [signature(q1, t1, i) for i in range(n)]
-    pool = {}
-    for j in range(n):
-        pool.setdefault(signature(q2, t2, j), []).append(j)
-    if sorted(pool) != sorted(set(sig1)):
+    sig1, sig2 = ([(q.subspaces[i], tuple(t[i][1] for t in ts)) for i in range(n)]
+                  for q, ts in ((q1, t1), (q2, t2)))
+    if Counter(sig1) != Counter(sig2):
         return False
-
-    match = [None] * n
-    used = [False] * n
-
-    def consistent(i, j):
-        # i and j share a signature, so their arrows carry equal matrices
-        for k in range(len(t1)):
-            tgt1, tgt2 = t1[k][i][0], t2[k][j][0]
-            if match[tgt1] is not None and match[tgt1] != tgt2:
-                return False
-        return True
-
-    def backtrack(i):
-        if i == n:
-            # full check of arrow structure under the completed bijection
-            for k in range(len(t1)):
-                for v in range(n):
-                    if match[t1[k][v][0]] != t2[k][match[v]][0]:
-                        return False
-            return True
-        for j in pool.get(sig1[i], ()):
-            if used[j] or not consistent(i, j):
-                continue
-            match[i] = j
-            used[j] = True
-            if backtrack(i + 1):
-                return True
-            match[i] = None
-            used[j] = False
-        return False
-
-    return backtrack(0)
+    return not n or _match(sig1, sig2, t1, t2)

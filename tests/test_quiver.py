@@ -1,14 +1,19 @@
+import itertools
 import json
+import random
 from dataclasses import replace
 
 import pytest
 
+from knotquiver import quiver
 from knotquiver.algebra import (
     constant_action_biquandle_z2,
     core_cyclic,
     endomorphisms,
     swap3,
+    trivial_quandle,
 )
+from knotquiver.catalog import get_diagram
 from knotquiver.cohomology import CoeffGroup
 from knotquiver.diagram import (
     Crossing,
@@ -302,3 +307,85 @@ def test_all_endomorphisms_quiver():
     d = two_crossing_virtual()
     cols, arrows = build_coloring_quiver(d, bq, endos)
     assert len(cols) == 2 and len(arrows) == 4
+
+
+def relabelled(q, rng):
+    """q with its vertices renumbered by a seeded permutation and its
+    arrows listed in a shuffled order."""
+    n = len(q.vertices)
+    perm = rng.sample(range(n), n)
+    old = [0] * n
+    for v, new in enumerate(perm):
+        old[new] = v
+    arrows = rng.sample(list(zip(q.edges, q.edge_endos)), len(q.edges))
+    return replace(
+        q, vertices=[q.vertices[v] for v in old], chains=[q.chains[v] for v in old],
+        subspaces=[q.subspaces[v] for v in old],
+        edges=[(perm[src], perm[tgt], mat) for (src, tgt, mat), _ in arrows],
+        edge_endos=[k for _, k in arrows],
+    )
+
+
+def test_isomorphism_of_a_quiver_of_1728_vertices():
+    # every map is an endomorphism of trivial-12; L6a4 has three
+    # components, so 12^3 colorings, and one vertex per coloring was one
+    # level of recursion in the search this replaced
+    bq = trivial_quandle(12)
+    rng = random.Random(28)
+    vec = [rng.randrange(3) for _ in range(bq.n * (bq.n - 1))]
+    shift = tuple(x % 12 + 1 for x in bq.elements)
+    q = build_representation(get_diagram("L6a4"), DataVector(bq, CoeffGroup(3), [vec], [shift]))
+    assert len(q.vertices) == 1728
+    assert quiver_isomorphic(q, q)
+    r = relabelled(q, rng)
+    assert quiver_isomorphic(q, r) and quiver_isomorphic(r, q)
+
+
+def test_isomorphism_compares_signature_multiplicities(monkeypatch):
+    # the same two signatures, once and twice against twice and once: no
+    # bijection can exist, and the search is never entered
+    def searched(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(quiver, "_match", searched)
+    one = identity_quiver(LOOPS)
+    a = replace(one, vertices=[(1,), (2,), (3,)], chains=[[0]] * 3,
+                subspaces=[(0,), (1,), (1,)],
+                edges=one.edges + [(2, 2, one.edges[0][2])], edge_endos=[0, 0, 0])
+    b = replace(a, subspaces=[(0,), (0,), (1,)])
+    assert not quiver_isomorphic(a, b)
+    assert not quiver_isomorphic(b, a)
+
+
+def brute_force_isomorphic(q1, q2):
+    """Whether some vertex permutation carries q1 onto q2: equal
+    subspaces, and each arrow to one of the same map and matrix."""
+    n = len(q1.vertices)
+    if len(q2.vertices) != n:
+        return False
+    arrows2 = {(src, k): (tgt, mat) for (src, tgt, mat), k in zip(q2.edges, q2.edge_endos)}
+    arrows1 = list(zip(q1.edges, q1.edge_endos))
+    return any(
+        all(q1.subspaces[v] == q2.subspaces[perm[v]] for v in range(n))
+        and all(arrows2.get((perm[src], k)) == (perm[tgt], mat)
+                for (src, tgt, mat), k in arrows1)
+        for perm in itertools.permutations(range(n)))
+
+
+def test_isomorphism_matches_brute_force_on_small_quivers():
+    rng = random.Random(29)
+    matrices = ([[1, 0], [0, 1]], [[0, 1], [1, 0]])
+    found = {True: 0, False: 0}
+    for _ in range(300):
+        n, maps = rng.randint(1, 6), rng.randint(1, 2)
+        q = RepQuiver(
+            vertices=[(v,) for v in range(n)], chains=[[0]] * n,
+            subspaces=[rng.choice(((0,), (1,))) for _ in range(n)],
+            edges=[(v, rng.randrange(n), rng.choice(matrices)) for v in range(n) for _ in range(maps)],
+            edge_endos=[k for _ in range(n) for k in range(maps)], endos=[(1,)] * maps, modulus=2)
+        other = relabelled(q, rng) if rng.random() < 0.5 else replace(
+            q, edges=[(src, rng.randrange(n), mat) for src, _, mat in q.edges])
+        want = brute_force_isomorphic(q, other)
+        assert quiver_isomorphic(q, other) == want
+        found[want] += 1
+    assert min(found.values()) >= 100, found
