@@ -299,25 +299,28 @@ def build_parser():
     top = argparse.ArgumentParser(prog="knotquiver", description=__doc__)
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def common(p, link=True):
+    # each verb takes only the options it reads
+    def common(p, link=True, group=True, as_json=True):
         if link:
             p.add_argument("--link", help="catalog name or inline diagram code")
             p.add_argument("--format", choices=("pd", "gauss"),
                            help="code format when --link is not a catalog name")
         p.add_argument("--quandle", required=True,
                        help="builtin algebra name or JSON table file")
-        p.add_argument("--group", default="Z",
-                       help="coefficient group: Z or an integer modulus")
+        if group:
+            p.add_argument("--group", default="Z",
+                           help="coefficient group: Z or an integer modulus")
         p.add_argument("--out", help="write the report to this file")
-        p.add_argument("--json", action="store_true", help="emit JSON")
+        if as_json:
+            p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("check", help="validate axioms and cocycles")
-    common(p, link=False)
+    common(p, link=False, as_json=False)
     p.add_argument("--cocycles", help="JSON vectors or 'h2-generators'")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("homset", help="coloring count")
-    common(p)
+    common(p, group=False)
     p.set_defaults(func=cmd_homset)
 
     p = sub.add_parser("cocycle-invariant", help="state-sum polynomials")
@@ -326,7 +329,7 @@ def build_parser():
     p.set_defaults(func=cmd_cocycle_invariant)
 
     p = sub.add_parser("quiver", help="decorated quiver as JSON")
-    common(p)
+    common(p, as_json=False)
     p.add_argument("--cocycles", required=True)
     p.add_argument("--endos", help="JSON maps, 'all-endomorphisms' or 'identity'")
     p.set_defaults(func=cmd_quiver)

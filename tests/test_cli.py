@@ -177,6 +177,21 @@ def test_homset_without_link(capsys):
     assert err == "error: no link given (--link)\n"
 
 
+# options the verb would not read: check prints text and quiver JSON
+# either way, and a coloring count has no coefficients
+@pytest.mark.parametrize("argv", [
+    ["check", "--quandle", "swap3", "--json"],
+    ["quiver", "--link", "L4a1", "--quandle", "swap3", "--group", "3",
+     "--cocycles", SWAP3_VECTORS, "--json"],
+    ["homset", "--link", "L4a1", "--quandle", "swap3", "--group", "3"],
+], ids=["check --json", "quiver --json", "homset --group"])
+def test_options_a_verb_ignores_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
+
+
 def test_quiver_json_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "quiver.json"
     code, _, _ = run(
