@@ -136,8 +136,9 @@ class _Complex:
     one pass over the pairs and one over the triples: d2 as a dense
     n x p matrix, the pair count p, d3 as terms, one tuple of six pair
     indices per triple in triple_basis order, and d3^T as a _D3tRows
-    over them, whose rows are expanded only when read.  On first use it adds the nonzeros of each column of d2, the
-    Smith form of d3^T, and H^2 per coefficient modulus.
+    over them, whose rows are expanded only when read.  On first use it
+    adds the nonzeros of each column of d2, the Smith form of d3^T, and
+    H^2 per coefficient modulus.
 
     The Smith form of d3^T is told that its rank is at most p - rank d2,
     with rank d2 over Q from the Smith form of d2's rows.  The check

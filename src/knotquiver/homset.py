@@ -371,7 +371,8 @@ def pair_basis(bq):
 def _pair_table(bq):
     """The pair_basis index of each pair (x, y) at x * (n + 1) + y, and
     p, the basis size, at every degenerate (x, x); built once per
-    Biquandle instance and kept on it."""
+    Biquandle instance and kept on it.  chain_vectors and the cochain
+    complex (cohomology._Complex) both read it."""
     table = getattr(bq, "_chain_pairs", None)
     if table is None:
         stride = bq.n + 1

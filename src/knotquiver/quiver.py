@@ -200,9 +200,9 @@ def _match(sig1, sig2, t1, t2):
     """Whether a bijection sends each vertex v of the first quiver to one
     of signature sig1[v] in the second, and every arrow to an arrow of
     the same map.  The first quiver's vertices are placed breadth first
-    along their arrows, each component from its lowest vertex, so a
-    vertex reached from a placed one has one candidate image; a
-    component's first vertex has its whole signature class.  It
+    along their arrows, from the lowest vertex not yet reached, so a
+    vertex reached by an arrow from a placed one has one candidate
+    image, and a vertex not reached has its whole signature class.  It
     backtracks over a stack of candidate iterators, one per placed
     vertex, and checks every arrow once the bijection is full.
     """

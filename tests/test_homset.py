@@ -158,8 +158,8 @@ def test_coloring_lookups_built_once_per_algebra(monkeypatch):
         # an operation table that keeps its length but fails on any read
         __iter__ = __getitem__ = rebuilt
 
-    # the nine tables are one pass over the operation tables; up to order
-    # 15 they are the byte tables the lanes translate through
+    # the eight tables are one pass over the algebra's relations; up to
+    # order 15 they are the byte tables the lanes translate through
     tables = homset._tables(bq)
     assert all(type(table) is bytes and len(table) == 256 for table in tables)
     monkeypatch.setattr(bq, "under_table", Unread(bq.under_table))

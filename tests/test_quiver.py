@@ -334,7 +334,9 @@ def test_isomorphism_of_a_quiver_of_1728_vertices():
     rng = random.Random(28)
     vec = [rng.randrange(3) for _ in range(bq.n * (bq.n - 1))]
     shift = tuple(x % 12 + 1 for x in bq.elements)
-    q = build_representation(get_diagram("L6a4"), DataVector(bq, CoeffGroup(3), [vec], [shift]))
+    collapse = tuple(min(x, 5) for x in bq.elements)
+    data = DataVector(bq, CoeffGroup(3), [vec], [shift, collapse])
+    q = build_representation(get_diagram("L6a4"), data)
     assert len(q.vertices) == 1728
     assert quiver_isomorphic(q, q)
     r = relabelled(q, rng)
