@@ -38,7 +38,7 @@ print("quiver: %d vertices, %d arrows" % (len(rq.vertices), len(rq.edges)))
 src, tgt, mat = rq.edges[0]
 print("one arrow %d -> %d with matrix:" % (src, tgt))
 for row in mat:
-    print("  ", row)
+    print("  ", list(row))
 
 paths = maximal_paths(rq)
 print("maximal non-repeating paths:", len(paths),

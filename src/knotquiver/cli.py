@@ -25,7 +25,7 @@ import json
 import os
 import sys
 
-from .algebra import Biquandle, builtin, check_axioms, endomorphisms
+from .algebra import Biquandle, builtin, check_axioms
 from .catalog import catalog_names, get_diagram
 from .cohomology import CoeffGroup, check_length, h2_generators, is_cocycle, state_sum
 from .diagram import parse_gauss, parse_pd
@@ -123,7 +123,7 @@ def load_cocycles(args, bq, coeff):
 def load_endos(args, bq):
     spec = args.endos
     if spec is None or spec == "all-endomorphisms":
-        return endomorphisms(bq)
+        return None  # DataVector solves Hom(X, X) and checks none of it
     if spec == "identity":
         return [tuple(bq.elements)]
     endos = json.loads(spec)

@@ -377,7 +377,7 @@ def _class_paths(quiver):
     members = []
     source, target = [], []
     for e, (src, tgt, mat) in enumerate(quiver.edges):
-        key = (src, tgt, None if mat is None else tuple(map(tuple, mat)))
+        key = (src, tgt, mat)
         c = by_key.get(key)
         if c is None:
             c = by_key[key] = len(members)
@@ -643,7 +643,7 @@ def edge_char_polynomial(quiver):
     Equal matrices have equal terms, so each distinct matrix counts
     once, times the number of edges that carry it.
     """
-    counts = Counter(tuple(map(tuple, mat)) for _, _, mat in quiver.edges)
+    counts = Counter(mat for _, _, mat in quiver.edges)
     return _char_sum(((mat, 0), k) for mat, k in counts.items())
 
 
@@ -651,13 +651,12 @@ def edge_matrix_polynomial(quiver):
     """Sum over edges of the entry polynomial, x on rows and y on columns.
 
     The entry polynomial is linear in the matrix, so this is the entry
-    polynomial of the summed edge matrices.
+    polynomial of the summed edge matrices, each distinct matrix
+    weighted once by the number of edges that carry it.
     """
-    total = [
-        [sum(entries) for entries in zip(*rows)]
-        for rows in zip(*(mat for _, _, mat in quiver.edges))
-    ]
-    return _entry_sum((((total, 0), 1),), quiver.labels, quiver.modulus, "x", "y")
+    counts = Counter(mat for _, _, mat in quiver.edges)
+    return _entry_sum((((mat, 0), k) for mat, k in counts.items()),
+                      quiver.labels, quiver.modulus, "x", "y")
 
 
 def path_polynomials(quiver):

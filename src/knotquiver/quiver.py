@@ -8,6 +8,10 @@ over the nondegenerate pair basis), each arrow carries an m x m
 integer matrix: every vector phi routes the basis element indexed by
 phi(chain of source) to the one indexed by phi(chain of target), so
 each arrow matrix has total entry mass equal to the number of vectors.
+A matrix is an immutable tuple of row tuples.  It depends only on the
+evaluation labels at the arrow's two ends, so it is built once per
+distinct (source labels, target labels) pair, and every arrow with
+those labels holds the same object.
 
 The evaluation vectors are deliberately not required to be cocycles:
 the construction only uses that they are linear functionals on chains,
@@ -27,7 +31,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .algebra import Biquandle, is_homomorphism
+from .algebra import Biquandle, endomorphisms, is_homomorphism
 from .cohomology import CoeffGroup, check_length, evaluate
 from .homset import chain_vectors, colorings, push_forward
 
@@ -39,7 +43,9 @@ class DataVector:
     algebra: source biquandle X
     coeff:   coefficient group for the evaluation vectors
     vectors: tuple of integer vectors over the nondegenerate pair basis
-    endos:   tuple of endomorphism image tuples of X
+    endos:   tuple of endomorphism image tuples of X; None stands for
+             all of Hom(X, X), solved here and not checked again,
+             while maps that are given are each checked
 
     The ground ring of the representation is the integers.
     """
@@ -51,12 +57,16 @@ class DataVector:
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", tuple(tuple(v) for v in self.vectors))
-        object.__setattr__(self, "endos", tuple(tuple(e) for e in self.endos))
         for vec in self.vectors:
             check_length(self.algebra, vec)
-        for endo in self.endos:
-            if not is_homomorphism(self.algebra, self.algebra, endo):
-                raise ValueError("map %r is not an endomorphism" % (endo,))
+        if self.endos is None:
+            endos = tuple(endomorphisms(self.algebra))
+        else:
+            endos = tuple(tuple(e) for e in self.endos)
+            for endo in endos:
+                if not is_homomorphism(self.algebra, self.algebra, endo):
+                    raise ValueError("map %r is not an endomorphism" % (endo,))
+        object.__setattr__(self, "endos", endos)
 
 
 @dataclass
@@ -65,13 +75,16 @@ class RepQuiver:
 
     edges holds (source index, target index, matrix) triples so the
     polynomial layer can consume it directly; edge_endos records which
-    endomorphism produced each arrow, in the same order.
+    endomorphism produced each arrow, in the same order.  A matrix is a
+    tuple of row tuples, hashed and read as it is; build_representation
+    gives arrows whose ends carry equal label tuples the same matrix
+    object.
     """
 
     vertices: list  # coloring tuples, lexicographically sorted
     chains: list  # integer chain vector per vertex
     subspaces: list  # sorted tuple of distinct evaluation labels per vertex
-    edges: list  # (source, target, matrix) with matrix a list of rows
+    edges: list  # (source, target, matrix) with matrix a tuple of row tuples
     edge_endos: list  # endomorphism index per edge
     endos: list  # endomorphism image tuples
     modulus: int
@@ -120,7 +133,7 @@ class RepQuiver:
             flat = rec["matrix"]
             if len(flat) != n * n:
                 raise ValueError("edge matrix has %d entries, want %d" % (len(flat), n * n))
-            mat = [flat[i * n : (i + 1) * n] for i in range(n)]
+            mat = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
             edges.append((rec["source"], rec["target"], mat))
             edge_endos.append(rec["endo"])
         return cls(
@@ -164,35 +177,38 @@ def build_representation(diagram, data):
     cols, arrows = build_coloring_quiver(diagram, data.algebra, data.endos)
     chains = chain_vectors(diagram, data.algebra, cols)
     values = [
-        [evaluate(data.coeff, phi, chain) for phi in data.vectors] for chain in chains
+        tuple(evaluate(data.coeff, phi, chain) for phi in data.vectors) for chain in chains
     ]
     subspaces = [tuple(sorted(set(vals))) for vals in values]
-    edges, edge_endos = [], []
-    for src, tgt, k in arrows:
-        mat = [[0] * m for _ in range(m)]
-        for row, col in zip(values[tgt], values[src]):
-            mat[row][col] += 1
+    mats = {}  # (source labels, target labels) -> the matrix of every such arrow
+    edges = []
+    for src, tgt, _ in arrows:
+        ends = (values[src], values[tgt])
+        mat = mats.get(ends)
+        if mat is None:
+            rows = [[0] * m for _ in range(m)]
+            for col, row in zip(*ends):
+                rows[row][col] += 1
+            mat = mats[ends] = tuple(map(tuple, rows))
         edges.append((src, tgt, mat))
-        edge_endos.append(k)
     return RepQuiver(
         vertices=cols,
         chains=chains,
         subspaces=subspaces,
         edges=edges,
-        edge_endos=edge_endos,
+        edge_endos=[k for _, _, k in arrows],
         endos=list(data.endos),
         modulus=m,
     )
 
 
 def _transition_tables(quiver):
-    # per endo index: vertex -> (target, matrix as tuple of row tuples)
+    # per endo index: vertex -> (target, matrix)
     tables = [dict() for _ in quiver.endos]
     for (src, tgt, mat), k in zip(quiver.edges, quiver.edge_endos):
-        key = tuple(tuple(row) for row in mat)
         if src in tables[k]:
             raise ValueError("vertex %d has two arrows for map %d" % (src, k))
-        tables[k][src] = (tgt, key)
+        tables[k][src] = (tgt, mat)
     return tables
 
 

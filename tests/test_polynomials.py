@@ -191,6 +191,8 @@ def test_specialize_drop_and_merge():
 
 
 def quiver_of(edges, labels=None, modulus=2):
+    # arrow matrices are tuples of row tuples, as build_representation makes them
+    edges = [(src, tgt, mat if mat is None else tuple(map(tuple, mat))) for src, tgt, mat in edges]
     return SimpleNamespace(edges=edges, labels=labels or [], modulus=modulus)
 
 

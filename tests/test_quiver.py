@@ -1,12 +1,14 @@
 import itertools
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from knotquiver import quiver
 from knotquiver.algebra import (
+    builtin,
     constant_action_biquandle_z2,
     core_cyclic,
     endomorphisms,
@@ -14,7 +16,7 @@ from knotquiver.algebra import (
     trivial_quandle,
 )
 from knotquiver.catalog import get_diagram
-from knotquiver.cohomology import CoeffGroup
+from knotquiver.cohomology import CoeffGroup, evaluate, h2_generators
 from knotquiver.diagram import (
     Crossing,
     LinkDiagram,
@@ -85,6 +87,17 @@ def test_data_vector_validates_shapes():
     assert len(dv.vectors) == 3
 
 
+def test_data_vector_solves_hom_x_x_for_none_and_checks_no_map(monkeypatch):
+    bq = swap3()
+    want = DataVector(bq, CoeffGroup(3), EVAL_VECTORS, endomorphisms(bq))
+    # the solved maps are not checked again; maps that are given still are
+    monkeypatch.setattr(quiver, "is_homomorphism", None)
+    assert DataVector(bq, CoeffGroup(3), EVAL_VECTORS, None) == want
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=r"^map \(2, 1, 1\) is not an endomorphism$"):
+        DataVector(bq, CoeffGroup(3), EVAL_VECTORS, [(2, 2, 1), (2, 1, 1)])
+
+
 def test_representation_needs_finite_coefficients():
     dv = DataVector(swap3(), CoeffGroup(0), EVAL_VECTORS, [(2, 2, 1)])
     with pytest.raises(ValueError):
@@ -137,7 +150,7 @@ def test_reference_quiver_structure():
         ((1, 1), CONST),
         ((2, 2), CONST),
     ]:
-        assert arrow[at[params]][1] == mat
+        assert arrow[at[params]][1] == tuple(map(tuple, mat))
 
     assert q.subspaces[at[(3, 1)]] == (0, 1, 2)
     assert q.subspaces[at[(1, 2)]] == (0, 2)
@@ -192,7 +205,7 @@ def test_virtual_reference_quiver():
     q = build_representation(d, virtual_data())
     assert len(q.vertices) == 2
     assert len(q.edges) == 4
-    bump = [[0, 0, 0], [0, 2, 0], [0, 0, 0]]
+    bump = ((0, 0, 0), (0, 2, 0), (0, 0, 0))
     assert all(mat == bump for _, _, mat in q.edges)
     assert all(sub == (1,) for sub in q.subspaces)
     assert edge_char_polynomial(q).render() == "4t^3-8t^2"
@@ -217,7 +230,7 @@ def test_virtual_mirror_quiver_differs():
 def identity_quiver(arrows, maps=1):
     """Two vertices with equal subspaces; arrows are (source, target, map
     index) triples, each carrying the 2 x 2 identity matrix."""
-    identity = [[1, 0], [0, 1]]
+    identity = ((1, 0), (0, 1))
     return RepQuiver(
         vertices=[(1,), (2,)], chains=[[0], [0]], subspaces=[(0,), (0,)],
         edges=[(src, tgt, identity) for src, tgt, _ in arrows],
@@ -300,6 +313,44 @@ def test_json_rejects_a_matrix_of_the_wrong_size():
         RepQuiver.from_json(json.dumps(blob))
 
 
+def test_arrows_whose_ends_carry_equal_labels_share_one_matrix():
+    data = DataVector(swap3(), CoeffGroup(3), EVAL_VECTORS, None)
+    q = build_representation(get_diagram("L4a1"), data)
+    labels = [tuple(evaluate(data.coeff, phi, chain) for phi in data.vectors)
+              for chain in q.chains]
+    shared = {}
+    for src, tgt, mat in q.edges:
+        assert type(mat) is tuple and all(type(row) is tuple for row in mat)
+        assert shared.setdefault((labels[src], labels[tgt]), mat) is mat
+    # 63 arrows, 6 distinct label pairs, 6 matrix objects
+    assert (len(q.edges), len(shared)) == (63, 6)
+    assert len({id(mat) for _, _, mat in q.edges}) == 6
+    back = RepQuiver.from_json(q.to_json())
+    assert back.edges == q.edges
+    assert all(type(mat) is tuple and all(type(row) is tuple for row in mat)
+               for _, _, mat in back.edges)
+
+
+def test_representation_memory_grows_with_label_pairs_not_arrows():
+    # H^2 of core-21 over Z_21 is trivial, so all 27,783 arrows carry the
+    # zero 21 x 21 matrix: about 140 MB of lists when each arrow had its
+    # own, about 5 MB when they share one
+    bq = builtin("core-21")
+    coeff = CoeffGroup(21)
+    data = DataVector(bq, coeff, [vec for _, vec in h2_generators(bq, coeff)],
+                      endomorphisms(bq))
+    assert data.vectors == ()
+    diagram = get_diagram("3_1")
+    tracemalloc.start()
+    try:
+        q = build_representation(diagram, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(q.edges) == 27_783
+    assert peak < 16_000_000, peak
+
+
 def test_all_endomorphisms_quiver():
     bq = constant_action_biquandle_z2()
     endos = endomorphisms(bq)
@@ -376,7 +427,7 @@ def brute_force_isomorphic(q1, q2):
 
 def test_isomorphism_matches_brute_force_on_small_quivers():
     rng = random.Random(29)
-    matrices = ([[1, 0], [0, 1]], [[0, 1], [1, 0]])
+    matrices = (((1, 0), (0, 1)), ((0, 1), (1, 0)))
     found = {True: 0, False: 0}
     for _ in range(300):
         n, maps = rng.randint(1, 6), rng.randint(1, 2)
