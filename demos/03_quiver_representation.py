@@ -33,12 +33,13 @@ link = get_diagram("L4a1")
 rq = build_representation(link, data)
 print("quiver: %d vertices, %d arrows" % (len(rq.vertices), len(rq.edges)))
 
-# each arrow carries a 3x3 matrix; total entry mass equals the number
-# of evaluation vectors
-src, tgt, mat = rq.edges[0]
-print("one arrow %d -> %d with matrix:" % (src, tgt))
-for row in mat:
-    print("  ", list(row))
+# each arrow carries a 3x3 matrix, held as its nonzero entries
+# ((row, column), value); total entry mass equals the number of
+# evaluation vectors; show the arrow with the most of them
+src, tgt, mat = max(rq.edges, key=lambda edge: len(edge[2]))
+print("one arrow %d -> %d with nonzero matrix entries:" % (src, tgt))
+for (row, col), value in mat:
+    print("   [%d][%d] = %d" % (row, col, value))
 
 paths = maximal_paths(rq)
 print("maximal non-repeating paths:", len(paths),

@@ -1,4 +1,4 @@
-"""Exact integer matrix routines: products and the Smith normal form.
+"""Exact integer matrix routines: the Smith normal form.
 
 Matrices are lists of row lists of Python ints, so everything here is
 fraction free and exact at any size; snf alone takes its matrix as
@@ -18,20 +18,6 @@ def transpose(mat):
     if not mat:
         return []
     return [list(col) for col in zip(*mat)]
-
-
-def mat_mul(a, b):
-    # each row of the product is a combination of the rows of b, so zero
-    # entries of a cost nothing
-    ncols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * ncols
-        for x, brow in zip(row, b):
-            if x:
-                acc = [s + x * y for s, y in zip(acc, brow)]
-        out.append(acc)
-    return out
 
 
 def _replay_vec(ops, vec):

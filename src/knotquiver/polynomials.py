@@ -24,8 +24,6 @@ weights read first.
 from collections import Counter
 from itertools import chain, permutations, product
 
-from .intlinalg import mat_mul
-
 VAR_PRECEDENCE = ("x", "y", "s", "t", "z", "q")
 GROUP_VARS = frozenset(("x", "y", "q"))
 
@@ -231,15 +229,6 @@ def char_poly(mat):
         elif not any(map(any, work)):
             break
     return GroupExponentPolynomial._of(terms, 0)
-
-
-def matrix_poly(mat, row_labels, col_labels, modulus, row_var="x", col_var="y"):
-    """Sum of entries as coeff * row_var^row_label * col_var^col_label."""
-    return GroupExponentPolynomial.collect(
-        ((_make_key({row_var: row_labels[j], col_var: col_labels[k]}, modulus), c)
-         for j, row in enumerate(mat) for k, c in enumerate(row) if c),
-        modulus,
-    )
 
 
 def specialize(poly, ones=(), merge_xy_to_q=False):
@@ -599,42 +588,61 @@ def _off_unused_cycles(vertices, free_out, free_in, out_of, target, left):
     return True
 
 
-def _char_sum(weighted):
-    """Sum of w * det(t*I - M) * s^length over ((M, length), w) pairs, M a
-    tuple of rows; length 0 adds no factor.  char_poly runs once per
-    distinct M."""
+def _char_sum(weighted, n):
+    """Sum of w * det(t*I_n - M) * s^length over ((M, length), w) pairs, M
+    an n x n matrix as its sorted nonzero entries; length 0 adds no
+    factor.  M is zero outside the set U of rows and columns its entries
+    use, so det(t*I_n - M) is t^(n - |U|) times char_poly of the U x U
+    block, which runs once per distinct M."""
     chars = {}
     pairs = []
     for (mat, length), w in weighted:
         terms = chars.get(mat)
         if terms is None:
-            terms = chars[mat] = char_poly(mat).terms
+            used = sorted({i for ij, _ in mat for i in ij})
+            entries = dict(mat)
+            block = [[entries.get((i, j), 0) for j in used] for i in used]
+            terms = chars[mat] = {}
+            for k, c in char_poly(block).terms.items():
+                e = n - len(used) + (k[0][1] if k else 0)  # times t^(n - |U|)
+                terms[(("t", e),) if e else ()] = c
         s = (("s", length),) if length else ()
         pairs.extend((s + k, c * w) for k, c in terms.items())
     return GroupExponentPolynomial.collect(pairs)
 
 
-def _entry_sum(weighted, labels, modulus, row_var, col_var):
+def _entry_sum(weighted, modulus, row_var, col_var):
     """Sum of w * (entry polynomial of M) * z^length over ((M, length), w)
-    pairs; length 0 adds no factor.  The entry polynomial is linear in
-    the matrix, so matrix_poly runs once per length, on the weighted sum
-    of the matrices of that length.  z follows x and y, so it goes last
-    in each key."""
-    sums = {}  # length -> weighted sum of the matrices of that length
+    pairs, M as its sorted nonzero entries; length 0 adds no factor.
+    The entry polynomial sums a * row_var^i * col_var^j over the entries
+    ((i, j), a).  It is linear in the matrix, so the weighted entries
+    are added per (length, i, j) first, and each sum gets one key.  z
+    follows x and y, so it goes last in each key."""
+    sums = {}  # (length, i, j) -> weighted sum of the (i, j) entries of that length
     for (mat, length), w in weighted:
-        acc = sums.get(length)
-        sums[length] = (
-            [[w * x for x in row] for row in mat] if acc is None else
-            [[x + w * y for x, y in zip(r1, r2)] for r1, r2 in zip(acc, mat)]
-        )
+        for (i, j), a in mat:
+            key = (length, i, j)
+            sums[key] = sums.get(key, 0) + w * a
     return GroupExponentPolynomial.collect(
         (
-            (k + ((("z", length),) if length else ()), c)
-            for length, mat in sums.items()
-            for k, c in matrix_poly(mat, labels, labels, modulus, row_var, col_var).terms.items()
+            (_make_key({row_var: i, col_var: j}, modulus) + ((("z", length),) if length else ()), c)
+            for (length, i, j), c in sums.items()
         ),
         modulus,
     )
+
+
+def _mat_mul(a, b):
+    """The product a * b of two matrices given as sorted nonzero entries,
+    in the same form."""
+    rows = {}  # row l of b as (column, value) pairs
+    for (l, j), y in b:
+        rows.setdefault(l, []).append((j, y))
+    out = {}
+    for (i, l), x in a:
+        for j, y in rows.get(l, ()):
+            out[i, j] = out.get((i, j), 0) + x * y
+    return tuple(sorted(item for item in out.items() if item[1]))
 
 
 def edge_char_polynomial(quiver):
@@ -644,7 +652,7 @@ def edge_char_polynomial(quiver):
     once, times the number of edges that carry it.
     """
     counts = Counter(mat for _, _, mat in quiver.edges)
-    return _char_sum(((mat, 0), k) for mat, k in counts.items())
+    return _char_sum((((mat, 0), k) for mat, k in counts.items()), quiver.modulus)
 
 
 def edge_matrix_polynomial(quiver):
@@ -655,8 +663,7 @@ def edge_matrix_polynomial(quiver):
     weighted once by the number of edges that carry it.
     """
     counts = Counter(mat for _, _, mat in quiver.edges)
-    return _entry_sum((((mat, 0), k) for mat, k in counts.items()),
-                      quiver.labels, quiver.modulus, "x", "y")
+    return _entry_sum((((mat, 0), k) for mat, k in counts.items()), quiver.modulus, "x", "y")
 
 
 def path_polynomials(quiver):
@@ -687,14 +694,13 @@ def path_polynomials(quiver):
     """
     members, roots, entries = _class_paths(quiver)
     ids = {}
-    mats = []  # mats[i]: the matrix with id i, as a tuple of rows
+    mats = []  # mats[i]: the matrix with id i, as its sorted nonzero entries
 
     def intern(mat):
-        key = tuple(map(tuple, mat))
-        i = ids.get(key)
+        i = ids.get(mat)
         if i is None:
-            i = ids[key] = len(mats)
-            mats.append(key)
+            i = ids[mat] = len(mats)
+            mats.append(mat)
         return i
 
     products = {}  # (id, id) -> the id of their product
@@ -705,7 +711,7 @@ def path_polynomials(quiver):
             return b
         p = products.get((a, b))
         if p is None:
-            p = products[a, b] = intern(mat_mul(mats[a], mats[b]))
+            p = products[a, b] = intern(_mat_mul(mats[a], mats[b]))
         return p
 
     cls = [intern(quiver.edges[es[0]][2]) for es in members]
@@ -738,7 +744,8 @@ def path_polynomials(quiver):
     for at, found in entries.items():
         tallies[at] = tally(found)
     weighted = [((mats[p], length), w) for (p, length), w in tally(roots).items()]
-    return _char_sum(weighted), _entry_sum(weighted, quiver.labels, quiver.modulus, "y", "x")
+    m = quiver.modulus
+    return _char_sum(weighted, m), _entry_sum(weighted, m, "y", "x")
 
 
 def path_char_polynomial(quiver):

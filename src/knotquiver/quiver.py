@@ -8,10 +8,12 @@ over the nondegenerate pair basis), each arrow carries an m x m
 integer matrix: every vector phi routes the basis element indexed by
 phi(chain of source) to the one indexed by phi(chain of target), so
 each arrow matrix has total entry mass equal to the number of vectors.
-A matrix is an immutable tuple of row tuples.  It depends only on the
-evaluation labels at the arrow's two ends, so it is built once per
-distinct (source labels, target labels) pair, and every arrow with
-those labels holds the same object.
+A matrix is held as its nonzero entries: a sorted tuple of
+((row, column), value) pairs, at most one per vector, so its size does
+not grow with m.  It depends only on the evaluation labels at the
+arrow's two ends, so it is built once per distinct (source labels,
+target labels) pair, and every arrow with those labels holds the same
+object.  Only the JSON form writes the dense m x m matrix.
 
 The evaluation vectors are deliberately not required to be cocycles:
 the construction only uses that they are linear functionals on chains,
@@ -29,7 +31,7 @@ none with the cocycle.
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import Biquandle, endomorphisms, is_homomorphism
 from .cohomology import CoeffGroup, check_length, evaluate
@@ -75,29 +77,28 @@ class RepQuiver:
 
     edges holds (source index, target index, matrix) triples so the
     polynomial layer can consume it directly; edge_endos records which
-    endomorphism produced each arrow, in the same order.  A matrix is a
-    tuple of row tuples, hashed and read as it is; build_representation
-    gives arrows whose ends carry equal label tuples the same matrix
-    object.
+    endomorphism produced each arrow, in the same order.  A matrix is
+    modulus x modulus, its rows and columns indexed by the labels
+    0..modulus-1, and is held as a sorted tuple of ((row, column),
+    value) pairs for its nonzero entries, hashed and read as it is;
+    build_representation gives arrows whose ends carry equal label
+    tuples the same matrix object.  The JSON form writes each matrix
+    flat and dense, row by row, beside "labels": 0..modulus-1.
     """
 
     vertices: list  # coloring tuples, lexicographically sorted
     chains: list  # integer chain vector per vertex
     subspaces: list  # sorted tuple of distinct evaluation labels per vertex
-    edges: list  # (source, target, matrix) with matrix a tuple of row tuples
+    edges: list  # (source, target, matrix) with matrix its sorted nonzero entries
     edge_endos: list  # endomorphism index per edge
     endos: list  # endomorphism image tuples
     modulus: int
-    labels: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.labels:
-            self.labels = list(range(self.modulus))
 
     def to_json(self):
+        n = self.modulus
         blob = {
-            "modulus": self.modulus,
-            "labels": list(self.labels),
+            "modulus": n,
+            "labels": list(range(n)),
             "endos": [list(e) for e in self.endos],
             "vertices": [
                 {
@@ -112,7 +113,7 @@ class RepQuiver:
                     "source": src,
                     "target": tgt,
                     "endo": endo,
-                    "matrix": [entry for row in mat for entry in row],
+                    "matrix": _flat(mat, n),
                 }
                 for (src, tgt, mat), endo in zip(self.edges, self.edge_endos)
             ],
@@ -122,7 +123,9 @@ class RepQuiver:
     @classmethod
     def from_json(cls, text):
         blob = json.loads(text)
-        n = len(blob["labels"])
+        n = blob["modulus"]
+        if blob["labels"] != list(range(n)):
+            raise ValueError("labels must be 0..%d" % (n - 1))
         vertices, chains, subspaces = [], [], []
         for rec in blob["vertices"]:
             vertices.append(tuple(rec["coloring"]))
@@ -133,7 +136,7 @@ class RepQuiver:
             flat = rec["matrix"]
             if len(flat) != n * n:
                 raise ValueError("edge matrix has %d entries, want %d" % (len(flat), n * n))
-            mat = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+            mat = tuple((divmod(i, n), a) for i, a in enumerate(flat) if a)
             edges.append((rec["source"], rec["target"], mat))
             edge_endos.append(rec["endo"])
         return cls(
@@ -143,9 +146,16 @@ class RepQuiver:
             edges=edges,
             edge_endos=edge_endos,
             endos=[tuple(e) for e in blob["endos"]],
-            modulus=blob["modulus"],
-            labels=list(blob["labels"]),
+            modulus=n,
         )
+
+
+def _flat(mat, n):
+    """The n x n matrix with entries mat as one row-major list."""
+    flat = [0] * (n * n)
+    for (i, j), a in mat:
+        flat[i * n + j] = a
+    return flat
 
 
 def build_coloring_quiver(diagram, bq, endos):
@@ -186,10 +196,8 @@ def build_representation(diagram, data):
         ends = (values[src], values[tgt])
         mat = mats.get(ends)
         if mat is None:
-            rows = [[0] * m for _ in range(m)]
-            for col, row in zip(*ends):
-                rows[row][col] += 1
-            mat = mats[ends] = tuple(map(tuple, rows))
+            # vector phi adds 1 at row phi(target), column phi(source)
+            mat = mats[ends] = tuple(sorted(Counter(zip(ends[1], ends[0])).items()))
         edges.append((src, tgt, mat))
     return RepQuiver(
         vertices=cols,

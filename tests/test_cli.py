@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,30 @@ def test_quiver_json_roundtrip(tmp_path, capsys):
     assert edge_matrix_polynomial(rq).render() == "4x^2+6y^2+4y+13"
     assert path_char_polynomial(rq).render() == "5s^3t^3-39s^3t^2"
     assert path_matrix_polynomial(rq).render() == "24x^2z^3+24xz^3+39z^3"
+
+
+def test_invariants_over_a_large_modulus_hold_no_m_by_m_matrix(capsys):
+    # L4a1 under core-4 over Z_2048: every arrow matrix is 2048 x 2048
+    # with at most two nonzero entries, and a dense one would take tens
+    # of megabytes; the polynomials are those of the dense computation
+    tracemalloc.start()
+    try:
+        code, out, _ = run(
+            capsys, "invariants", "--link", "L4a1", "--quandle", "core-4", "--group", "2048",
+            "--cocycles", "h2-generators", "--endos", "[[1,2,3,4],[2,4,2,4]]")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    lines = out.splitlines()
+    for line in [
+        "chi_edge: 32t^2048-96t^2047+32t^2046",
+        "pm_edge: 16x^1024y^1024+16xy+16y^1024+16y+64",
+        "chi_path: 24s^6t^2048-32768s^6t^2047",
+        "pm_path: 16384x^1024z^6+16384xz^6+32768z^6",
+    ]:
+        assert line in lines
+    assert peak < 1_000_000, peak
 
 
 def test_invariants_report(capsys):

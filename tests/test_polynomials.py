@@ -20,7 +20,6 @@ from knotquiver.polynomials import (
     char_poly,
     edge_char_polynomial,
     edge_matrix_polynomial,
-    matrix_poly,
     maximal_paths,
     path_polynomials,
     specialize,
@@ -173,11 +172,10 @@ def test_char_poly_known():
 
 
 def test_matrix_poly_row_and_col_vars():
-    mat = [[1, 2], [0, 5]]
-    p = matrix_poly(mat, [0, 1], [0, 1], 3, row_var="x", col_var="y")
-    assert p.render() == "5xy+2y+1"
-    q = matrix_poly(mat, [0, 1], [0, 1], 3, row_var="y", col_var="x")
-    assert q.render() == "5xy+2x+1"
+    # one loop: the edge polynomial puts x on rows, the path polynomial y
+    q = quiver_of([(0, 0, [[1, 2], [0, 5]])])
+    assert edge_matrix_polynomial(q).render() == "5xy+2y+1"
+    assert path_polynomials(q)[1].render() == "5xyz+2xz+z"
 
 
 def test_specialize_drop_and_merge():
@@ -190,10 +188,35 @@ def test_specialize_drop_and_merge():
         specialize(bad, merge_xy_to_q=True)
 
 
-def quiver_of(edges, labels=None, modulus=2):
-    # arrow matrices are tuples of row tuples, as build_representation makes them
-    edges = [(src, tgt, mat if mat is None else tuple(map(tuple, mat))) for src, tgt, mat in edges]
-    return SimpleNamespace(edges=edges, labels=labels or [], modulus=modulus)
+def sparse(rows):
+    """A matrix given by its rows, as the program holds it: the sorted
+    ((row, column), value) pairs of its nonzero entries."""
+    return tuple(((i, j), a) for i, row in enumerate(rows) for j, a in enumerate(row) if a)
+
+
+def dense(mat, n):
+    """The n x n rows of a matrix the program holds as its nonzero entries."""
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), a in mat:
+        rows[i][j] = a
+    return rows
+
+
+def matrix_poly(mat, row_labels, col_labels, modulus, row_var="x", col_var="y"):
+    """Sum of the entries of dense rows as coeff * row_var^row_label *
+    col_var^col_label."""
+    return P.collect(
+        ((polynomials._make_key({row_var: row_labels[j], col_var: col_labels[k]}, modulus), c)
+         for j, row in enumerate(mat) for k, c in enumerate(row) if c),
+        modulus,
+    )
+
+
+def quiver_of(edges, modulus=2):
+    # arrow matrices are given as rows and stored as their nonzero
+    # entries, as build_representation makes them; modulus is their size
+    edges = [(src, tgt, mat if mat is None else sparse(mat)) for src, tgt, mat in edges]
+    return SimpleNamespace(edges=edges, modulus=modulus)
 
 
 def test_maximal_paths_chain():
@@ -286,12 +309,12 @@ def reference_path_polynomials(quiver, paths=None):
     plain sums over labeled paths: those given, else the maximal paths
     of the reference."""
     m = quiver.modulus
-    labels = quiver.labels
+    labels = range(m)
     chi, pm = P.zero(), P.zero(m)
     for path in reference_maximal_paths(quiver) if paths is None else paths:
         mat = None
         for e in path:
-            step = quiver.edges[e][2]
+            step = dense(quiver.edges[e][2], m)
             if mat is None:
                 mat = step
             else:
@@ -325,7 +348,7 @@ def random_quiver(rng):
     nv = rng.randint(1, 4)
     ne = rng.randint(0, 7 if nv > 1 else 5)
     edges = [(rng.randrange(nv), rng.randrange(nv), random_matrix(rng)) for _ in range(ne)]
-    return quiver_of(edges, labels=[0, 1], modulus=3)
+    return quiver_of(edges)
 
 
 def test_maximal_paths_match_reference_on_random_multigraphs():
@@ -458,7 +481,7 @@ def random_parallel_quiver(rng):
         edges.extend([edge] * min(rng.randint(1, 3), 5 - len(edges)))
         if rng.random() < 0.3:
             break
-    return quiver_of(edges, labels=[0, 1], modulus=3)
+    return quiver_of(edges)
 
 
 def test_class_search_matches_reference_on_parallel_arrows(monkeypatch):
@@ -518,7 +541,7 @@ def block_chain_quiver(rng):
     edges = []
     for arrow in arrows:
         edges += [arrow + (rng.choice(mats),)] * rng.choice((1, 1, 2))
-    return quiver_of(edges, labels=[0, 1], modulus=3)
+    return quiver_of(edges)
 
 
 def test_entry_reuse_matches_reference_on_block_chains(monkeypatch):
@@ -584,7 +607,7 @@ def test_budget_trips_below_a_prefix_on_an_unused_cycle(monkeypatch):
 def test_a_long_one_way_chain_needs_no_recursion():
     # every arrow steps into another component, so the parts nest 2999
     # deep
-    q = quiver_of([(v, v + 1, [[1, 1], [0, 1]]) for v in range(2999)], labels=[0, 1], modulus=3)
+    q = quiver_of([(v, v + 1, [[1, 1], [0, 1]]) for v in range(2999)])
     assert maximal_paths(q) == [tuple(range(2999))]
     chi, pm = path_polynomials(q)
     assert chi.render() == "s^2999t^2-2s^2999t+s^2999"
@@ -626,7 +649,7 @@ def test_pool_characteristic_polynomials_factor_through_the_vectors():
         labels = [[evaluate(coeff, phi, chain) for phi in CORE4_VECTORS] for chain in q.chains]
         for u, w, mat in q.edges:
             x = [[int(i == j) for j in labels[w]] for i in labels[u]]
-            assert char_poly(mat) == char_poly(x) * mono(1, t=m - c)
+            assert char_poly(dense(mat, m)) == char_poly(x) * mono(1, t=m - c)
 
 
 def test_maximal_paths_cap_stops_a_dense_quiver_fast():
@@ -646,8 +669,7 @@ def test_path_polynomials_stop_the_2_1_shape_at_the_budget():
     # parallel arrows, stopped after a few class steps
     identity = [[1, 0], [0, 1]]
     q = quiver_of(
-        [(a, b, identity) for a in range(4) for b in range(4) for _ in range(4)],
-        labels=[0, 1], modulus=3)
+        [(a, b, identity) for a in range(4) for b in range(4) for _ in range(4)])
     start = time.perf_counter()
     with pytest.raises(LimitError) as exc:
         path_polynomials(q)
@@ -668,9 +690,10 @@ def test_maximal_paths_dead_end_test_scans_only_the_trail():
 def reference_edge_polynomials(quiver):
     """Both edge polynomials as plain sums of one term per edge."""
     m = quiver.modulus
-    labels = quiver.labels
+    labels = range(m)
     chi, pm = P.zero(), P.zero(m)
     for _, _, mat in quiver.edges:
+        mat = dense(mat, m)
         chi = chi + reference_char_poly(mat)
         pm = pm + matrix_poly(mat, labels, labels, m, row_var="x", col_var="y")
     return chi, pm
@@ -698,7 +721,7 @@ def test_edge_polynomials_match_reference_on_random_quivers():
     for _ in range(300):
         q = random_parallel_quiver(rng) if rng.random() < 0.5 else random_quiver(rng)
         assert_edge_polynomials_match_reference(q)
-    assert_edge_polynomials_match_reference(quiver_of([], labels=[0, 1], modulus=3))
+    assert_edge_polynomials_match_reference(quiver_of([]))
 
 
 # ------------------------------------------------------ canonical keys
@@ -754,7 +777,7 @@ def test_every_polynomial_has_canonical_keys(name, m, endos):
         chi_edge, pm_edge = edge_char_polynomial(rq), edge_matrix_polynomial(rq)
         chi_path, pm_path = path_polynomials(rq)
         polys = [chi_edge, pm_edge, chi_path, pm_path]
-        polys += [char_poly(mat) for mat in {tuple(map(tuple, mat)) for _, _, mat in rq.edges}]
+        polys += [char_poly(dense(mat, m)) for mat in {mat for _, _, mat in rq.edges}]
         polys += [state_sum(coeff, vec, rq.chains) for vec in vectors]
         polys += [
             specialize(chi_path, ones=("s",)),

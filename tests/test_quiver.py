@@ -42,6 +42,8 @@ from knotquiver.quiver import (
     quiver_isomorphic,
 )
 
+from test_polynomials import dense
+
 EVAL_VECTORS = [
     (0, 1, 0, 1, 0, 0),
     (0, 0, 1, 0, 0, 0),
@@ -116,7 +118,7 @@ def test_reference_quiver_structure():
     q = build_representation(ref_l4(), ref_data())
     assert len(q.vertices) == 9
     assert len(q.edges) == 9
-    assert q.labels == [0, 1, 2]
+    assert q.modulus == 3
 
     at = {(c[0], c[4]): i for i, c in enumerate(q.vertices)}
     arrow = {}
@@ -150,7 +152,7 @@ def test_reference_quiver_structure():
         ((1, 1), CONST),
         ((2, 2), CONST),
     ]:
-        assert arrow[at[params]][1] == tuple(map(tuple, mat))
+        assert dense(arrow[at[params]][1], 3) == mat
 
     assert q.subspaces[at[(3, 1)]] == (0, 1, 2)
     assert q.subspaces[at[(1, 2)]] == (0, 2)
@@ -163,6 +165,7 @@ def test_edge_mass_and_support():
     for chain in q.chains:
         vals.append([sum(a * b for a, b in zip(phi, chain)) % 3 for phi in EVAL_VECTORS])
     for src, tgt, mat in q.edges:
+        mat = dense(mat, 3)
         assert sum(sum(row) for row in mat) == len(EVAL_VECTORS)
         nonzero_cols = {c for row in mat for c, e in enumerate(row) if e}
         assert nonzero_cols == set(vals[src]) == set(q.subspaces[src])
@@ -197,7 +200,7 @@ def test_composite_endomorphism_arrows():
         (step if k == 0 else twostep)[src] = (tgt, mat)
     for v, (mid, _) in step.items():
         assert twostep[v][0] == step[mid][0]
-        assert sum(sum(row) for row in twostep[v][1]) == len(EVAL_VECTORS)
+        assert sum(sum(row) for row in dense(twostep[v][1], 3)) == len(EVAL_VECTORS)
 
 
 def test_virtual_reference_quiver():
@@ -206,7 +209,7 @@ def test_virtual_reference_quiver():
     assert len(q.vertices) == 2
     assert len(q.edges) == 4
     bump = ((0, 0, 0), (0, 2, 0), (0, 0, 0))
-    assert all(mat == bump for _, _, mat in q.edges)
+    assert all(tuple(map(tuple, dense(mat, 3))) == bump for _, _, mat in q.edges)
     assert all(sub == (1,) for sub in q.subspaces)
     assert edge_char_polynomial(q).render() == "4t^3-8t^2"
     assert edge_matrix_polynomial(q).render() == "8xy"
@@ -311,6 +314,47 @@ def test_json_rejects_a_matrix_of_the_wrong_size():
     blob["edges"][0]["matrix"].pop()
     with pytest.raises(ValueError, match="^edge matrix has 8 entries, want 9$"):
         RepQuiver.from_json(json.dumps(blob))
+
+
+@pytest.mark.parametrize("labels", [[1, 2, 3], [0, 1], [0, 2, 1], [0, 1, 2, 3]])
+def test_json_rejects_labels_other_than_0_to_m_minus_1(labels):
+    blob = json.loads(build_representation(ref_l4(), ref_data()).to_json())
+    blob["labels"] = labels
+    with pytest.raises(ValueError, match="^labels must be 0..2$"):
+        RepQuiver.from_json(json.dumps(blob))
+
+
+def entry_form_quivers():
+    """(quiver, number of vectors) pairs: the reference quivers, L4a1
+    under all of End(swap3), and core-4 quivers over seeded moduli with
+    seeded vectors, some of whose labels coincide."""
+    yield build_representation(ref_l4(), ref_data()), 3
+    yield build_representation(two_crossing_virtual(), virtual_data()), 2
+    every_endo = DataVector(swap3(), CoeffGroup(3), EVAL_VECTORS, None)
+    yield build_representation(get_diagram("L4a1"), every_endo), 3
+    rng = random.Random(31)
+    bq = core_cyclic(4)
+    for m in (2, 5, 7, 64):
+        vectors = [[rng.randrange(m) for _ in range(12)] for _ in range(rng.randint(1, 4))]
+        data = DataVector(bq, CoeffGroup(m), vectors, [(2, 4, 2, 4), (1, 2, 3, 4), (3, 2, 1, 4)])
+        link = get_diagram(rng.choice(("L4a1", "3_1", "L5a1")))
+        yield build_representation(link, data), len(vectors)
+
+
+def test_arrow_matrices_are_their_sorted_nonzero_entries():
+    for q, c in entry_form_quivers():
+        m = q.modulus
+        for _, _, mat in q.edges:
+            keys = [ij for ij, _ in mat]
+            assert keys == sorted(set(keys))
+            assert all(type(a) is int and a for _, a in mat)
+            assert all(0 <= i < m and 0 <= j < m for i, j in keys)
+            assert sum(a for _, a in mat) == c
+        blob = json.loads(q.to_json())
+        assert blob["labels"] == list(range(m))
+        assert [rec["matrix"] for rec in blob["edges"]] == [
+            [a for row in dense(mat, m) for a in row] for _, _, mat in q.edges]
+        assert RepQuiver.from_json(q.to_json()).edges == q.edges
 
 
 def test_arrows_whose_ends_carry_equal_labels_share_one_matrix():
