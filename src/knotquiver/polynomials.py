@@ -475,12 +475,7 @@ def _class_paths(quiver):
                 if free_in[tail]:
                     break
                 dead_ends += trails
-                # a vertex on an unused cycle has unused arrows in and
-                # out, so the head and the tail are never tried
-                for u in on_trail:
-                    if free_out[u] and free_in[u] and _on_unused_cycle(u, out_of, target, left):
-                        break
-                else:
+                if _off_unused_cycles(on_trail, free_out, free_in, out_of, target, left):
                     found.append((tuple(path), trails, None))
                     gained += trails
                 break
@@ -581,7 +576,10 @@ def _on_unused_cycle(v, out_of, target, left):
 
 
 def _off_unused_cycles(vertices, free_out, free_in, out_of, target, left):
-    """Whether no vertex of vertices lies on a closed trail of unused arrows."""
+    """Whether no vertex of vertices lies on a closed trail of unused arrows.
+
+    A vertex on an unused cycle has unused arrows in and out, so at a
+    dead end the head and the tail are never tried."""
     for u in vertices:
         if free_out[u] and free_in[u] and _on_unused_cycle(u, out_of, target, left):
             return False
@@ -678,32 +676,23 @@ def path_polynomials(quiver):
 
     The sum runs over maximal class paths (see maximal_paths): all the
     labeled paths of a class path have the same product and length, so
-    its terms count once per labeled path, times its weight.  Each
-    distinct matrix gets an id, once per call, and the product of two
-    ids is formed once per pair.  Weights are tallied per (product,
-    length): once per entry for the paths that continue from it (see
-    _class_paths), then per root trail, where a trail that ends with a
-    step into an entry takes each of the entry's (product, length)
-    tallies times its own product, length and weight.  The trails of a
-    list come in the order of the search, so neighbours share prefixes,
-    whose product ids stay on a stack.  The ((product, length), weight)
-    tallies then go to the two sums the edge polynomials use too,
-    _char_sum and _entry_sum.  The search and its budget are those of
-    maximal_paths: the budget counts the labeled trails the search would
-    take without reuse.
+    its terms count once per labeled path, times its weight.  A matrix
+    is its sorted nonzero entries, at most c^2 of them for a product of
+    arrow matrices from c vectors, so it is hashed as it is, and the
+    product of two matrices is formed once per pair.  Weights are
+    tallied per (product, length): once per entry for the paths that
+    continue from it (see _class_paths), then per root trail, where a
+    trail that ends with a step into an entry takes each of the entry's
+    (product, length) tallies times its own product, length and weight.
+    The trails of a list come in the order of the search, so neighbours
+    share prefixes, whose products stay on a stack.  The ((product,
+    length), weight) tallies then go to the two sums the edge
+    polynomials use too, _char_sum and _entry_sum.  The search and its
+    budget are those of maximal_paths: the budget counts the labeled
+    trails the search would take without reuse.
     """
     members, roots, entries = _class_paths(quiver)
-    ids = {}
-    mats = []  # mats[i]: the matrix with id i, as its sorted nonzero entries
-
-    def intern(mat):
-        i = ids.get(mat)
-        if i is None:
-            i = ids[mat] = len(mats)
-            mats.append(mat)
-        return i
-
-    products = {}  # (id, id) -> the id of their product
+    products = {}  # (a, b) -> a * b
 
     def times(a, b):
         # None stands for the empty product
@@ -711,16 +700,16 @@ def path_polynomials(quiver):
             return b
         p = products.get((a, b))
         if p is None:
-            p = products[a, b] = intern(_mat_mul(mats[a], mats[b]))
+            p = products[a, b] = _mat_mul(a, b)
         return p
 
-    cls = [intern(quiver.edges[es[0]][2]) for es in members]
-    tallies = {}  # entry -> {(product id, length): labeled paths below it}
+    cls = [quiver.edges[es[0]][2] for es in members]
+    tallies = {}  # entry -> {(product, length): labeled paths below it}
 
     def tally(found):
         out = {}
         prev = ()
-        prefix = []  # prefix[i]: the product id of the first i + 1 classes of prev
+        prefix = []  # prefix[i]: the product of the first i + 1 classes of prev
         for path, weight, at in found:
             shared = 0
             for a, b in zip(prev, path):
@@ -743,7 +732,7 @@ def path_polynomials(quiver):
 
     for at, found in entries.items():
         tallies[at] = tally(found)
-    weighted = [((mats[p], length), w) for (p, length), w in tally(roots).items()]
+    weighted = list(tally(roots).items())
     m = quiver.modulus
     return _char_sum(weighted, m), _entry_sum(weighted, m, "y", "x")
 

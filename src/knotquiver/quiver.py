@@ -13,7 +13,8 @@ A matrix is held as its nonzero entries: a sorted tuple of
 not grow with m.  It depends only on the evaluation labels at the
 arrow's two ends, so it is built once per distinct (source labels,
 target labels) pair, and every arrow with those labels holds the same
-object.  Only the JSON form writes the dense m x m matrix.
+object.  The JSON form writes the same entries, as [row, column, value]
+triples.
 
 The evaluation vectors are deliberately not required to be cocycles:
 the construction only uses that they are linear functionals on chains,
@@ -82,8 +83,11 @@ class RepQuiver:
     0..modulus-1, and is held as a sorted tuple of ((row, column),
     value) pairs for its nonzero entries, hashed and read as it is;
     build_representation gives arrows whose ends carry equal label
-    tuples the same matrix object.  The JSON form writes each matrix
-    flat and dense, row by row, beside "labels": 0..modulus-1.
+    tuples the same matrix object.  The JSON form writes each matrix as
+    the list of its nonzero entries, [row, column, value] in sorted
+    order; from_json refuses an entry that is not such a triple of ints
+    with a nonzero value at a distinct position in 0..modulus-1, and an
+    edge whose source, target or endo is not an index of its list.
     """
 
     vertices: list  # coloring tuples, lexicographically sorted
@@ -95,10 +99,8 @@ class RepQuiver:
     modulus: int
 
     def to_json(self):
-        n = self.modulus
         blob = {
-            "modulus": n,
-            "labels": list(range(n)),
+            "modulus": self.modulus,
             "endos": [list(e) for e in self.endos],
             "vertices": [
                 {
@@ -113,7 +115,7 @@ class RepQuiver:
                     "source": src,
                     "target": tgt,
                     "endo": endo,
-                    "matrix": _flat(mat, n),
+                    "matrix": [[i, j, a] for (i, j), a in mat],
                 }
                 for (src, tgt, mat), endo in zip(self.edges, self.edge_endos)
             ],
@@ -124,20 +126,20 @@ class RepQuiver:
     def from_json(cls, text):
         blob = json.loads(text)
         n = blob["modulus"]
-        if blob["labels"] != list(range(n)):
-            raise ValueError("labels must be 0..%d" % (n - 1))
         vertices, chains, subspaces = [], [], []
         for rec in blob["vertices"]:
             vertices.append(tuple(rec["coloring"]))
             chains.append(list(rec["chain"]))
             subspaces.append(tuple(rec["subspace"]))
+        endos = [tuple(e) for e in blob["endos"]]
         edges, edge_endos = [], []
-        for rec in blob["edges"]:
-            flat = rec["matrix"]
-            if len(flat) != n * n:
-                raise ValueError("edge matrix has %d entries, want %d" % (len(flat), n * n))
-            mat = tuple((divmod(i, n), a) for i, a in enumerate(flat) if a)
-            edges.append((rec["source"], rec["target"], mat))
+        for e, rec in enumerate(blob["edges"]):
+            for key, size in (("source", len(vertices)), ("target", len(vertices)),
+                              ("endo", len(endos))):
+                if type(rec[key]) is not int or not 0 <= rec[key] < size:
+                    raise ValueError("edge %d: %s %r is not an index below %d"
+                                     % (e, key, rec[key], size))
+            edges.append((rec["source"], rec["target"], _entries(rec["matrix"], n, e)))
             edge_endos.append(rec["endo"])
         return cls(
             vertices=vertices,
@@ -145,17 +147,25 @@ class RepQuiver:
             subspaces=subspaces,
             edges=edges,
             edge_endos=edge_endos,
-            endos=[tuple(e) for e in blob["endos"]],
+            endos=endos,
             modulus=n,
         )
 
 
-def _flat(mat, n):
-    """The n x n matrix with entries mat as one row-major list."""
-    flat = [0] * (n * n)
-    for (i, j), a in mat:
-        flat[i * n + j] = a
-    return flat
+def _entries(triples, n, e):
+    """The matrix of edge e read from its JSON list of [row, column,
+    value] triples, as its sorted nonzero entries.  Each triple must be
+    three ints with a nonzero value at a distinct position in 0..n-1."""
+    if type(triples) is not list:
+        raise ValueError("edge %d: matrix %r is not a list of entries" % (e, triples))
+    mat = {}
+    for t in triples:
+        if not (type(t) is list and len(t) == 3 and all(type(x) is int for x in t)
+                and 0 <= t[0] < n and 0 <= t[1] < n and t[2] and (t[0], t[1]) not in mat):
+            raise ValueError("edge %d: matrix entry %r is not [row, column, value]"
+                             " with a nonzero value at a new position in 0..%d" % (e, t, n - 1))
+        mat[t[0], t[1]] = t[2]
+    return tuple(sorted(mat.items()))
 
 
 def build_coloring_quiver(diagram, bq, endos):

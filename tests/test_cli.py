@@ -232,6 +232,31 @@ def test_invariants_over_a_large_modulus_hold_no_m_by_m_matrix(capsys):
     assert peak < 1_000_000, peak
 
 
+def test_quiver_over_a_large_modulus_writes_only_nonzero_entries(capsys):
+    # the same call as above over Z_256 through the `quiver` verb: a
+    # dense matrix would write 65,536 numbers per arrow, 14.7 MB in all
+    argv = ["--link", "L4a1", "--quandle", "core-4", "--group", "256",
+            "--cocycles", "h2-generators", "--endos", "[[1,2,3,4],[2,4,2,4]]"]
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "quiver", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(out.encode()) < 16_384
+    assert peak < 1_000_000, peak
+    rq = RepQuiver.from_json(out)
+    _, report, _ = run(capsys, "invariants", *argv)
+    for fn, key in [
+        (edge_char_polynomial, "chi_edge"),
+        (edge_matrix_polynomial, "pm_edge"),
+        (path_char_polynomial, "chi_path"),
+        (path_matrix_polynomial, "pm_path"),
+    ]:
+        assert "%s: %s" % (key, fn(rq).render()) in report.splitlines()
+
+
 def test_invariants_report(capsys):
     code, out, err = run(
         capsys, "invariants", "--link", "L4a1", "--quandle", "swap3",
@@ -418,26 +443,48 @@ GOLDEN_QUIVER_CASES = [
 ]
 # sha256 of the 112 `quiver` outputs over the catalog and then the 2
 # `batch --group-by pm_path` outputs of GOLDEN_BATCH_H2_CASES, recorded
-# while the plan's tables were read off the operation tables
+# while the plan's tables were read off the operation tables; the
+# quiver outputs enter it in their dense layout (see dense_layout)
 GOLDEN_QUIVER_DIGEST = "e2a5c8761a47cef4504072a4a41d3a92d669d3a41b781acc5e0cef82bbde3a52"
+# the same digest over the quiver outputs as written, each matrix the
+# list of its nonzero entries
+GOLDEN_QUIVER_ENTRIES_DIGEST = "87ec550801955a469553e3f7e32d3449075ff89e549bc82d04f3bb5d4d5a1a61"
+
+
+def dense_layout(out):
+    """A `quiver` output in the layout written when each matrix was held
+    dense: "labels": 0..m-1 after "modulus", and each matrix as its m x m
+    entries in one row-major list."""
+    blob = json.loads(out)
+    m = blob["modulus"]
+    for rec in blob["edges"]:
+        flat = [0] * (m * m)
+        for i, j, a in rec["matrix"]:
+            flat[i * m + j] = a
+        rec["matrix"] = flat
+    blob = {"modulus": m, "labels": list(range(m)), **blob}
+    return json.dumps(blob, indent=1) + "\n"
 
 
 def test_quivers_and_groupings_match_golden_digest(capsys):
-    digest = hashlib.sha256()
+    dense, raw = hashlib.sha256(), hashlib.sha256()
     for quandle, group, cocycles, endos in GOLDEN_QUIVER_CASES:
         for name in catalog_names():
             code, out, _ = run(
                 capsys, "quiver", "--link", name, "--quandle", quandle, "--group", group,
                 "--cocycles", cocycles, "--endos", endos)
             assert code == 0
-            digest.update(out.encode())
+            dense.update(dense_layout(out).encode())
+            raw.update(out.encode())
     for quandle, group, endos in GOLDEN_BATCH_H2_CASES:
         code, out, _ = run(
             capsys, "batch", "--links", "all", "--quandle", quandle, "--group", group,
             "--cocycles", "h2-generators", "--endos", endos, "--group-by", "pm_path")
         assert code == 0
-        digest.update(out.encode())
-    assert digest.hexdigest() == GOLDEN_QUIVER_DIGEST
+        dense.update(out.encode())
+        raw.update(out.encode())
+    assert dense.hexdigest() == GOLDEN_QUIVER_DIGEST
+    assert raw.hexdigest() == GOLDEN_QUIVER_ENTRIES_DIGEST
 
 
 def test_batch_classical_selects_the_l_named_links(capsys):

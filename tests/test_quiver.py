@@ -309,18 +309,40 @@ def test_json_round_trip():
         assert fn(q2).render() == fn(q).render()
 
 
-def test_json_rejects_a_matrix_of_the_wrong_size():
+@pytest.mark.parametrize("entry", [
+    [3, 0, 1],  # row = m
+    [0, -1, 1],  # column -1
+    [0, 0, 0],  # value 0
+    [0, 1, 1],  # the position of the entry before it
+    [0, 1],  # two elements
+    0,  # a bare int: the dense layout written before
+], ids=["row_m", "column_minus_1", "value_0", "repeated_position", "pair", "bare_int"])
+def test_json_rejects_a_malformed_matrix_entry(entry):
     blob = json.loads(build_representation(ref_l4(), ref_data()).to_json())
-    blob["edges"][0]["matrix"].pop()
-    with pytest.raises(ValueError, match="^edge matrix has 8 entries, want 9$"):
+    assert blob["edges"][3]["matrix"] == [[0, 1, 1], [0, 2, 1], [2, 0, 1]]
+    blob["edges"][3]["matrix"][1] = entry
+    with pytest.raises(ValueError, match=r"^edge 3: matrix entry .* is not \[row, column, value\]"):
         RepQuiver.from_json(json.dumps(blob))
 
 
-@pytest.mark.parametrize("labels", [[1, 2, 3], [0, 1], [0, 2, 1], [0, 1, 2, 3]])
-def test_json_rejects_labels_other_than_0_to_m_minus_1(labels):
+@pytest.mark.parametrize("matrix", [5, None, {"0": 1}], ids=["int", "null", "object"])
+def test_json_rejects_a_matrix_that_is_not_a_list(matrix):
     blob = json.loads(build_representation(ref_l4(), ref_data()).to_json())
-    blob["labels"] = labels
-    with pytest.raises(ValueError, match="^labels must be 0..2$"):
+    blob["edges"][2]["matrix"] = matrix
+    with pytest.raises(ValueError, match="^edge 2: matrix .* is not a list of entries$"):
+        RepQuiver.from_json(json.dumps(blob))
+
+
+@pytest.mark.parametrize("key, value, size", [
+    ("source", 9, 9), ("source", -1, 9), ("target", 99, 9), ("endo", 5, 1),
+])
+def test_json_rejects_an_arrow_that_points_nowhere(key, value, size):
+    # a target off the 9 vertices changed the path polynomials, and
+    # quiver_isomorphic raised IndexError on such a quiver
+    blob = json.loads(build_representation(ref_l4(), ref_data()).to_json())
+    blob["edges"][1][key] = value
+    with pytest.raises(ValueError, match="^edge 1: %s %d is not an index below %d$"
+                       % (key, value, size)):
         RepQuiver.from_json(json.dumps(blob))
 
 
@@ -351,9 +373,9 @@ def test_arrow_matrices_are_their_sorted_nonzero_entries():
             assert all(0 <= i < m and 0 <= j < m for i, j in keys)
             assert sum(a for _, a in mat) == c
         blob = json.loads(q.to_json())
-        assert blob["labels"] == list(range(m))
+        assert "labels" not in blob
         assert [rec["matrix"] for rec in blob["edges"]] == [
-            [a for row in dense(mat, m) for a in row] for _, _, mat in q.edges]
+            [[i, j, a] for (i, j), a in mat] for _, _, mat in q.edges]
         assert RepQuiver.from_json(q.to_json()).edges == q.edges
 
 
