@@ -13,16 +13,20 @@ X gives one per pair (a, b) over its elements, (a, b, under(a, b),
 over(b, a)), and the solutions over Y are then the homomorphisms
 X -> Y (see algebra.homomorphisms).
 
-The search runs a plan compiled once per relation list (see _plan).
+The search runs a plan compiled once per relation list (see _plan),
+and only once for a diagram, which keeps it (see _diagram_plan).
 Which relation fires depends only on which of its four slots are
 known, never on their values, and so does the choice of the next free
 slot.  A dry run over "known" flags therefore fixes everything but the
 values: the slot chosen freely at each level, the lookups that derive
 the slots the choice forces, and the equations left to check at the
 relations it completes.  Each relation belongs to exactly one level
-and is verified there once.  A relation that fires with two known
-slots derives the other two from one index into two flat tables of the
-same shape (see _tables), so it costs one index computation, not two.
+and is verified there once.  Every slot but the free ones is derived,
+so a solution is fixed by its values on the free slots (see
+free_slots); the quiver finds the target of each arrow through them.
+A relation that fires with two known slots derives the other two from
+one index into two flat tables of the same shape (see _tables), so it
+costs one index computation, not two.
 The tables are read off the algebra's own relations, so the crossing
 convention is written once for a diagram, in _constraints, and once
 for an algebra, in Biquandle._relations.
@@ -335,6 +339,11 @@ def solve(cons, n, bq):
     free one, so solutions come out in lexicographic order of the free
     choices, which is the lexicographic order of the tuples.
     """
+    return _search(_plan(cons, n), n, bq)
+
+
+def _search(compiled, n, bq):
+    """The solutions of a plan of _plan over n slots, with bq's tables."""
     tables = _tables(bq)
     plan = [
         (
@@ -342,7 +351,7 @@ def solve(cons, n, bq):
             [(tables[k1], tables[k2], s, t, p, q) for k1, k2, s, t, p, q in derive],
             [(tables[k], t, p, q) for k, t, p, q in check],
         )
-        for free, derive, check in _plan(cons, n)
+        for free, derive, check in compiled
     ]
     if not plan:
         return [()]
@@ -352,9 +361,27 @@ def solve(cons, n, bq):
     return _walk(plan, size, bq.elements, n)
 
 
+def _diagram_plan(diagram):
+    """The plan of a diagram's crossings (see _constraints and _plan),
+    compiled on first use and kept on the diagram, as _tables keeps an
+    algebra's tables on it; the crossings are not expected to change
+    after construction.  It does not depend on the algebra."""
+    plan = getattr(diagram, "_coloring_plan", None)
+    if plan is None:
+        plan = diagram._coloring_plan = _plan(_constraints(diagram), diagram.n_semiarcs)
+    return plan
+
+
 def colorings(diagram, bq):
     """All colorings in lexicographic order."""
-    return solve(_constraints(diagram), diagram.n_semiarcs, bq)
+    return _search(_diagram_plan(diagram), diagram.n_semiarcs, bq)
+
+
+def free_slots(diagram):
+    """The semiarc chosen freely at each level of the diagram's plan, in
+    order.  Every other semiarc is derived from these, so a coloring is
+    fixed by its colors on them: distinct colorings differ there."""
+    return [free for free, _, _ in _diagram_plan(diagram)]
 
 
 def counting_invariant(diagram, bq):
@@ -423,5 +450,7 @@ def chain_vectors(diagram, bq, cols):
 
 
 def push_forward(coloring, endo):
-    """Apply an endomorphism (image tuple) to every semiarc color."""
+    """Apply an endomorphism (image tuple) to every semiarc color; the
+    reference that the quiver's arrows through the free slots are tested
+    against."""
     return tuple(endo[v - 1] for v in coloring)

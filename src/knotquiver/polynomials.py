@@ -591,16 +591,17 @@ def _char_sum(weighted, n):
     an n x n matrix as its sorted nonzero entries; length 0 adds no
     factor.  M is zero outside the set U of rows and columns its entries
     use, so det(t*I_n - M) is t^(n - |U|) times char_poly of the U x U
-    block, which runs once per distinct M."""
-    chars = {}
+    block.  Matrices that differ only in where U lies share the block,
+    so char_poly runs once per distinct block."""
+    chars = {}  # U x U block -> the terms of det(t*I_n - M)
     pairs = []
     for (mat, length), w in weighted:
-        terms = chars.get(mat)
+        used = sorted({i for ij, _ in mat for i in ij})
+        entries = dict(mat)
+        block = tuple(tuple(entries.get((i, j), 0) for j in used) for i in used)
+        terms = chars.get(block)
         if terms is None:
-            used = sorted({i for ij, _ in mat for i in ij})
-            entries = dict(mat)
-            block = [[entries.get((i, j), 0) for j in used] for i in used]
-            terms = chars[mat] = {}
+            terms = chars[block] = {}
             for k, c in char_poly(block).terms.items():
                 e = n - len(used) + (k[0][1] if k else 0)  # times t^(n - |U|)
                 terms[(("t", e),) if e else ()] = c

@@ -2,7 +2,12 @@
 
 Vertices are the colorings of a fixed diagram.  For every chosen
 endomorphism sigma of the coloring algebra there is one arrow per
-vertex, pointing at the pushed-forward coloring.  Given a finite
+vertex, pointing at the pushed-forward coloring.  That target is found
+through the free semiarcs of the diagram's coloring plan, which fix a
+coloring: the vertices are indexed by their colors there, and the
+target is the vertex whose free colors are the images under sigma of
+the source's.  This needs sigma to be an endomorphism, which
+DataVector and build_coloring_quiver check.  Given a finite
 coefficient group Z_m and a family of evaluation vectors (2-cochains
 over the nondegenerate pair basis), each arrow carries an m x m
 integer matrix: every vector phi routes the basis element indexed by
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 
 from .algebra import Biquandle, endomorphisms, is_homomorphism
 from .cohomology import CoeffGroup, check_length, evaluate
-from .homset import chain_vectors, colorings, push_forward
+from .homset import _getter, chain_vectors, colorings, free_slots
 
 
 @dataclass(frozen=True)
@@ -66,9 +71,7 @@ class DataVector:
             endos = tuple(endomorphisms(self.algebra))
         else:
             endos = tuple(tuple(e) for e in self.endos)
-            for endo in endos:
-                if not is_homomorphism(self.algebra, self.algebra, endo):
-                    raise ValueError("map %r is not an endomorphism" % (endo,))
+            _check_endos(self.algebra, endos)
         object.__setattr__(self, "endos", endos)
 
 
@@ -168,22 +171,51 @@ def _entries(triples, n, e):
     return tuple(sorted(mat.items()))
 
 
-def build_coloring_quiver(diagram, bq, endos):
-    """Vertices and arrows only: colorings plus their push-forwards.
+def _check_endos(bq, endos):
+    for endo in endos:
+        if not is_homomorphism(bq, bq, endo):
+            raise ValueError("map %r is not an endomorphism" % (endo,))
 
-    Returns (colorings, arrows) with arrows as (source index, target
-    index, endo index) triples ordered by source then endo.
+
+def _coloring_quiver(diagram, bq, endos):
+    """build_coloring_quiver for maps known to be endomorphisms, which
+    it does not check.
+
+    A coloring is fixed by its colors on the free slots of the diagram's
+    plan (see homset.free_slots), and an endomorphism sends colorings
+    to colorings, so an arrow's target is the coloring whose free colors
+    are the images of its source's.  The vertices are indexed by their
+    free colors, and each free column goes through a map in one C-level
+    call.  An image that indexes no coloring raises ValueError: the map
+    does not preserve colorings.
     """
     cols = colorings(diagram, bq)
-    index = {c: i for i, c in enumerate(cols)}
-    arrows = []
-    for i, col in enumerate(cols):
-        for k, endo in enumerate(endos):
-            image = push_forward(col, endo)
-            if image not in index:
-                raise ValueError("map %r does not preserve colorings" % (endo,))
-            arrows.append((i, index[image], k))
-    return cols, arrows
+    keys = list(map(_getter(free_slots(diagram)), cols))
+    index = dict(zip(keys, range(len(keys))))
+    columns = list(zip(*keys))  # per free slot, its color in every coloring
+    targets = []  # per endo, the target of each coloring
+    for endo in endos:
+        image = ((0,) + tuple(endo)).__getitem__
+        moved = zip(*[map(image, col) for col in columns]) if columns else [()] * len(cols)
+        try:
+            targets.append(list(map(index.__getitem__, moved)))
+        except KeyError:
+            raise ValueError("map %r does not preserve colorings" % (endo,)) from None
+    return cols, [(i, t, k) for i, row in enumerate(zip(*targets)) for k, t in enumerate(row)]
+
+
+def build_coloring_quiver(diagram, bq, endos):
+    """Vertices and arrows only: the colorings, and for each coloring
+    and endomorphism one arrow to the image coloring.
+
+    Returns (colorings, arrows) with arrows as (source index, target
+    index, endo index) triples ordered by source then endo.  A map in
+    endos that is_homomorphism rejects raises ValueError: the targets
+    are found through the free slots (see _coloring_quiver), which
+    holds only for maps that send colorings to colorings.
+    """
+    _check_endos(bq, endos)
+    return _coloring_quiver(diagram, bq, endos)
 
 
 def build_representation(diagram, data):
@@ -194,7 +226,8 @@ def build_representation(diagram, data):
     m = data.coeff.modulus
     if not m:
         raise ValueError("representation needs a finite coefficient group")
-    cols, arrows = build_coloring_quiver(diagram, data.algebra, data.endos)
+    # the data vector's maps are endomorphisms, checked or solved
+    cols, arrows = _coloring_quiver(diagram, data.algebra, data.endos)
     chains = chain_vectors(diagram, data.algebra, cols)
     values = [
         tuple(evaluate(data.coeff, phi, chain) for phi in data.vectors) for chain in chains

@@ -304,6 +304,20 @@ def reference_maximal_paths(quiver):
     )
 
 
+def dense_product(quiver, path):
+    """The product of a path's arrow matrices as dense rows, its first
+    arrow the rightmost factor."""
+    mat = None
+    for e in path:
+        step = dense(quiver.edges[e][2], quiver.modulus)
+        if mat is None:
+            mat = step
+        else:
+            cols = list(zip(*mat))
+            mat = [[sum(map(mul, row, col)) for col in cols] for row in step]
+    return mat
+
+
 def reference_path_polynomials(quiver, paths=None):
     """Both path polynomials, each product matrix built from scratch, as
     plain sums over labeled paths: those given, else the maximal paths
@@ -312,14 +326,7 @@ def reference_path_polynomials(quiver, paths=None):
     labels = range(m)
     chi, pm = P.zero(), P.zero(m)
     for path in reference_maximal_paths(quiver) if paths is None else paths:
-        mat = None
-        for e in path:
-            step = dense(quiver.edges[e][2], m)
-            if mat is None:
-                mat = step
-            else:
-                cols = list(zip(*mat))
-                mat = [[sum(map(mul, row, col)) for col in cols] for row in step]
+        mat = dense_product(quiver, path)
         chi = chi + reference_char_poly(mat) * mono(1, s=len(path))
         pm = pm + matrix_poly(mat, labels, labels, m, row_var="y", col_var="x") * mono(
             1, m, z=len(path))
@@ -722,6 +729,56 @@ def test_edge_polynomials_match_reference_on_random_quivers():
         q = random_parallel_quiver(rng) if rng.random() < 0.5 else random_quiver(rng)
         assert_edge_polynomials_match_reference(q)
     assert_edge_polynomials_match_reference(quiver_of([]))
+
+
+def block_of(rows):
+    """Dense rows restricted to the labels that a nonzero entry uses as
+    its row or its column."""
+    used = [i for i, row in enumerate(rows) if any(row) or any(r[i] for r in rows)]
+    return tuple(tuple(rows[i][j] for j in used) for i in used)
+
+
+def permutation_quiver(rng, m):
+    # arrows among 4 vertices, each moving 1 to 3 of the labels 0..m-1
+    # along a cycle, as an arrow of build_representation moves the labels
+    # of its vectors: many distinct matrices, few distinct blocks
+    edges = []
+    for _ in range(rng.randint(1, 6)):
+        labels = rng.sample(range(m), rng.randint(1, 3))
+        rows = [[0] * m for _ in range(m)]
+        for a, b in zip(labels, labels[1:] + labels[:1]):
+            rows[b][a] = 1
+        edges.append((rng.randrange(4), rng.randrange(4), rows))
+    return quiver_of(edges, m)
+
+
+def test_char_sum_factors_each_distinct_block_once(monkeypatch):
+    calls = []
+    original = polynomials.char_poly
+
+    def counting(mat):
+        calls.append(mat)
+        return original(mat)
+
+    monkeypatch.setattr(polynomials, "char_poly", counting)
+    rng = random.Random(33)
+    matrices = factored = 0
+    for _ in range(150):
+        q = permutation_quiver(rng, 6)
+        mats = {mat for _, _, mat in q.edges}
+        del calls[:]
+        chi = edge_char_polynomial(q)
+        assert len(calls) == len({block_of(dense(mat, q.modulus)) for mat in mats})
+        assert chi.terms == reference_edge_polynomials(q)[0].terms
+        matrices += len(mats)
+        factored += len(calls)
+        products = [dense_product(q, path) for path in reference_maximal_paths(q)]
+        del calls[:]
+        chi = path_polynomials(q)[0]
+        assert len(calls) == len({block_of(mat) for mat in products})
+        assert chi.terms == reference_path_polynomials(q)[0].terms
+    # once per distinct matrix would be 540 calls
+    assert (matrices, factored) == (540, 360)
 
 
 # ------------------------------------------------------ canonical keys

@@ -6,21 +6,23 @@ from dataclasses import replace
 
 import pytest
 
-from knotquiver import quiver
+from knotquiver import homset, quiver
 from knotquiver.algebra import (
     builtin,
     constant_action_biquandle_z2,
     core_cyclic,
     endomorphisms,
+    is_homomorphism,
     swap3,
     trivial_quandle,
 )
-from knotquiver.catalog import get_diagram
+from knotquiver.catalog import catalog_names, get_diagram
 from knotquiver.cohomology import CoeffGroup, evaluate, h2_generators
 from knotquiver.diagram import (
     Crossing,
     LinkDiagram,
     braid_closure,
+    gauss_string,
     mirror,
     parse_gauss,
     r1_kink,
@@ -42,6 +44,7 @@ from knotquiver.quiver import (
     quiver_isomorphic,
 )
 
+from test_diagram import random_braid_word
 from test_polynomials import dense
 
 EVAL_VECTORS = [
@@ -424,6 +427,67 @@ def test_all_endomorphisms_quiver():
     d = two_crossing_virtual()
     cols, arrows = build_coloring_quiver(d, bq, endos)
     assert len(cols) == 2 and len(arrows) == 4
+
+
+def push_forward_arrows(cols, endos):
+    """The arrows of the coloring quiver found by pushing every semiarc
+    of each coloring forward and looking the whole image up."""
+    index = {c: i for i, c in enumerate(cols)}
+    return [(i, index[homset.push_forward(col, endo)], k)
+            for i, col in enumerate(cols) for k, endo in enumerate(endos)]
+
+
+def seeded_closures(seed, count):
+    rng = random.Random(seed)
+    return [braid_closure(random_braid_word(rng)) for _ in range(count)]
+
+
+# (algebra, its endomorphisms or None for all of them, diagrams): orders
+# up to 15 run the lane kernel and core-17 the depth-first walk
+ARROW_CASES = [
+    ("swap3", [(2, 2, 1)], "catalog"),
+    ("swap3", None, "closures"),
+    ("flip2", None, "catalog"),
+    ("core-3", [(1, 3, 2), (1, 1, 1)], "closures"),
+    ("core-4", None, "catalog"),
+    ("core-5", None, "closures"),
+    ("alexander-5-2", None, "catalog"),
+    ("core-15", [(1, 3, 5, 7, 9, 11, 13, 15, 2, 4, 6, 8, 10, 12, 14)], "closures"),
+    ("core-17", [tuple(range(1, 18)), (2,) * 17], "catalog"),
+    ("core-17", None, "closures"),
+]
+
+
+@pytest.mark.parametrize("name, endos, diagrams", ARROW_CASES)
+def test_arrows_through_free_slots_match_push_forward(name, endos, diagrams):
+    bq = builtin(name)
+    endos = endomorphisms(bq) if endos is None else endos
+    if diagrams == "catalog":
+        diagrams = [get_diagram(link) for link in catalog_names()]
+    else:
+        diagrams = seeded_closures(len(name), 12)
+    for d in diagrams:
+        cols, arrows = build_coloring_quiver(d, bq, endos)
+        frees = homset.free_slots(d)
+        # a coloring is fixed by its colors on the free slots
+        assert len({tuple(col[f] for f in frees) for col in cols}) == len(cols)
+        assert arrows == push_forward_arrows(cols, endos), (gauss_string(d), name)
+
+
+def test_coloring_quiver_refuses_a_map_that_is_not_an_endomorphism(monkeypatch):
+    bq, d = swap3(), get_diagram("L2a1")
+    assert not is_homomorphism(bq, bq, (1, 3, 1))
+    with pytest.raises(ValueError, match=r"^map \(1, 3, 1\) is not an endomorphism$"):
+        build_coloring_quiver(d, bq, [(2, 2, 1), (1, 3, 1)])
+    # past that check, the free colors of an image that is no coloring
+    # index no vertex
+    with pytest.raises(ValueError, match=r"^map \(1, 3, 1\) does not preserve colorings$"):
+        quiver._coloring_quiver(d, bq, [(2, 2, 1), (1, 3, 1)])
+    # build_representation trusts the maps of its data vector
+    data = ref_data()
+    want = build_representation(ref_l4(), data)
+    monkeypatch.setattr(quiver, "is_homomorphism", None)
+    assert build_representation(ref_l4(), data) == want
 
 
 def relabelled(q, rng):
