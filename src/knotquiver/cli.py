@@ -108,8 +108,6 @@ def parse_cocycles(spec, bq, coeff):
 
 
 def load_cocycles(args, bq, coeff):
-    if args.cocycles is None:
-        raise ValueError("no cocycles given (--cocycles)")
     vectors = parse_cocycles(args.cocycles, bq, coeff)
     for i, vec in enumerate(vectors):
         if not is_cocycle(bq, coeff, vec):
@@ -142,7 +140,7 @@ def load_data(args):
 
 
 def emit(text, args):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:

@@ -285,7 +285,12 @@ def maximal_paths(quiver):
     Nor does a trail that steps into another component ever come back,
     so what lies below that step depends only on the vertex it enters.
     The search below such an entry vertex runs once, and every later
-    trail that enters there reuses it (see _class_paths).
+    trail that enters there reuses it (see _class_paths).  The paths are
+    read off the search's pieces one entry at a time, innermost first:
+    what continues from an entry is each of its pieces followed by each
+    continuation of the entry that piece names, and a piece that ends a
+    path names None, whose one continuation is the empty path.  The root
+    trails are read the same way.
 
     The budget counts the labeled trails the search would take without
     that reuse: an extension step is one edge pushed onto a labeled
@@ -301,16 +306,11 @@ def maximal_paths(quiver):
     search, the tests included.
     """
     members, roots, entries = _class_paths(quiver)
-    found = []
-    stack = [(path, entry) for path, _, entry in roots]
-    while stack:
-        path, entry = stack.pop()
-        if entry is None:
-            found.append(path)
-        else:
-            stack.extend((path + more, below) for more, _, below in entries[entry])
+    below = {None: [()]}  # entry -> the class paths that continue from it
+    for entry, pieces in entries.items():
+        below[entry] = [piece + more for piece, _, at in pieces for more in below[at]]
     out = []
-    for path in found:
+    for path in [piece + more for piece, _, at in roots for more in below[at]]:
         # the places of each class on the path take its arrows in every
         # order, one labeled path per choice
         slots = {}
@@ -680,13 +680,12 @@ def path_polynomials(quiver):
     its terms count once per labeled path, times its weight.  A matrix
     is its sorted nonzero entries, at most c^2 of them for a product of
     arrow matrices from c vectors, so it is hashed as it is, and the
-    product of two matrices is formed once per pair.  Weights are
-    tallied per (product, length): once per entry for the paths that
-    continue from it (see _class_paths), then per root trail, where a
-    trail that ends with a step into an entry takes each of the entry's
-    (product, length) tallies times its own product, length and weight.
-    The trails of a list come in the order of the search, so neighbours
-    share prefixes, whose products stay on a stack.  The ((product,
+    product of two matrices is formed once per pair in the whole call:
+    every product goes through one memo keyed by the pair.  Weights are
+    tallied per (product, length), the pieces read as maximal_paths
+    reads them: a piece takes each (product, length) tally of the entry
+    it names times its own product, length and weight, and None has the
+    one tally of the empty product at length 0.  The ((product,
     length), weight) tallies then go to the two sums the edge
     polynomials use too, _char_sum and _entry_sum.  The search and its
     budget are those of maximal_paths: the budget counts the labeled
@@ -697,38 +696,25 @@ def path_polynomials(quiver):
 
     def times(a, b):
         # None stands for the empty product
-        if a is None:
-            return b
+        if a is None or b is None:
+            return b if a is None else a
         p = products.get((a, b))
         if p is None:
             p = products[a, b] = _mat_mul(a, b)
         return p
 
     cls = [quiver.edges[es[0]][2] for es in members]
-    tallies = {}  # entry -> {(product, length): labeled paths below it}
+    tallies = {None: {(None, 0): 1}}  # entry -> {(product, length): labeled paths below it}
 
     def tally(found):
         out = {}
-        prev = ()
-        prefix = []  # prefix[i]: the product of the first i + 1 classes of prev
         for path, weight, at in found:
-            shared = 0
-            for a, b in zip(prev, path):
-                if a != b:
-                    break
-                shared += 1
-            del prefix[shared:]
-            for c in path[shared:]:
-                prefix.append(times(cls[c], prefix[-1]) if prefix else cls[c])
-            prev = path
-            p = prefix[-1] if prefix else None
-            if at is None:
-                key = (p, len(path))
-                out[key] = out.get(key, 0) + weight
-            else:
-                for (q, length), count in tallies[at].items():
-                    key = (times(q, p), len(path) + length)
-                    out[key] = out.get(key, 0) + weight * count
+            p = None
+            for c in path:
+                p = times(cls[c], p)
+            for (q, length), count in tallies[at].items():
+                key = (times(q, p), len(path) + length)
+                out[key] = out.get(key, 0) + weight * count
         return out
 
     for at, found in entries.items():

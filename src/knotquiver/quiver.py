@@ -88,9 +88,10 @@ class RepQuiver:
     build_representation gives arrows whose ends carry equal label
     tuples the same matrix object.  The JSON form writes each matrix as
     the list of its nonzero entries, [row, column, value] in sorted
-    order; from_json refuses an entry that is not such a triple of ints
-    with a nonzero value at a distinct position in 0..modulus-1, and an
-    edge whose source, target or endo is not an index of its list.
+    order; from_json refuses a modulus that is not an int of at least
+    1, an entry that is not such a triple of ints with a nonzero value
+    at a distinct position in 0..modulus-1, and an edge whose source,
+    target or endo is not an index of its list.
     """
 
     vertices: list  # coloring tuples, lexicographically sorted
@@ -129,6 +130,8 @@ class RepQuiver:
     def from_json(cls, text):
         blob = json.loads(text)
         n = blob["modulus"]
+        if type(n) is not int or n < 1:
+            raise ValueError("modulus %r is not an integer of at least 1" % (n,))
         vertices, chains, subspaces = [], [], []
         for rec in blob["vertices"]:
             vertices.append(tuple(rec["coloring"]))

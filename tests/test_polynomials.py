@@ -621,6 +621,34 @@ def test_a_long_one_way_chain_needs_no_recursion():
     assert pm.render() == "xyz^2999+2999xz^2999+z^2999"
 
 
+def test_path_polynomials_multiply_each_pair_of_matrices_once(monkeypatch):
+    # each pair of parallel arrows of the doubled bridge gets a matrix of
+    # its own, so its 576 maximal paths still run over 4 classes; under
+    # core-4 the search of L4a1 passes through 5 component entries,
+    # named 26 times
+    pairs = []
+    original = polynomials._mat_mul
+
+    def counting(a, b):
+        pairs.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(polynomials, "_mat_mul", counting)
+    mats = [[[1, 1], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [1, 1]], [[2, 0], [0, 1]]]
+    bridge = quiver_of([(src, tgt, mats[i // 2])
+                        for i, (src, tgt, _) in enumerate(doubled_bridge_quiver().edges)])
+    core4 = core4_quiver("L4a1", ((2, 4, 2, 4), (1, 1, 1, 1)))
+    _, roots, entries = polynomials._class_paths(core4)
+    assert len(entries) == 5
+    assert sum(at is not None for found in (roots, *entries.values()) for _, _, at in found) == 26
+    for q in (bridge, core4):
+        del pairs[:]
+        chi, pm = path_polynomials(q)
+        assert pairs and len(pairs) == len(set(pairs))
+        ref_chi, ref_pm = reference_path_polynomials(q)
+        assert (chi.terms, pm.terms) == (ref_chi.terms, ref_pm.terms)
+
+
 def class_search_weight(roots, entries):
     """The labeled maximal paths that _class_paths stands for: the weight
     of each root trail times the paths that continue from its entry."""

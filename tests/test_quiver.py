@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -346,6 +347,18 @@ def test_json_rejects_an_arrow_that_points_nowhere(key, value, size):
     blob["edges"][1][key] = value
     with pytest.raises(ValueError, match="^edge 1: %s %d is not an index below %d$"
                        % (key, value, size)):
+        RepQuiver.from_json(json.dumps(blob))
+
+
+@pytest.mark.parametrize("modulus", ["3", 0, -2, True, 1.5],
+                         ids=["string", "zero", "negative", "bool", "float"])
+def test_json_rejects_a_modulus_that_is_not_a_positive_int(modulus):
+    # a string modulus raised TypeError in the entry checks, and -2 gave
+    # an arrow with no nonzero entry the characteristic term t^-2
+    blob = json.loads(build_representation(ref_l4(), ref_data()).to_json())
+    blob["modulus"] = modulus
+    with pytest.raises(ValueError, match=r"^modulus %s is not an integer of at least 1$"
+                       % re.escape(repr(modulus))):
         RepQuiver.from_json(json.dumps(blob))
 
 
