@@ -27,11 +27,11 @@ form expands only the rows it brings in (boundary_matrices reads them
 all, to dense d2 and d3).  The Smith form stops at a proven bound on
 the rank of d3^T: d2 @ d3 vanishes, so rank d3 <= p - rank d2, with
 rank d2 over Q read off the Smith form of d2's rows (one more Smith
-form per algebra, of n rows).  On a connected quandle the bound is
-the rank (rational H^2 vanishes), and the factorization stops once its
-pivots are found, without bringing in the rows past them.  A bounded
-Smith form keeps no row log, so no u, whether or not it stops early;
-nothing here reads it.
+form per algebra, of n rows, kept as _Complex.d2_snf).  On a
+connected quandle the bound is the rank (rational H^2 vanishes), and
+the factorization stops once its pivots are found, without bringing in
+the rows past them.  A bounded Smith form keeps no row log, so no u,
+whether or not it stops early; nothing here reads it.
 This is the universal-coefficient view: the cocycles over Z are the
 columns of v past the rank, and the lifts to Z^p of the cocycles over
 Z_m are spanned by the columns of v with column i scaled by
@@ -47,6 +47,20 @@ each column of d2, and the coordinates of m * e_j are read off column j
 of v^-1 (see _coboundary_coords).  v and v^-1 stay sparse throughout,
 the second Smith form never forms its own, and only the generators of
 order other than 1 are built.
+
+Whether H^2 vanishes is known before that second Smith form, from the
+two already made.  By the universal coefficient theorem H^2(C; A) is
+Hom(H_2, A) + Ext(H_1, A), with H_1 = coker d2 (C_1 is the bottom of
+the complex) and H_2 = ker d2 / im d3, whose torsion is that of coker
+d3 and whose free rank is p - rank d2 - rank d3.  Over Z, Hom(H_2, Z)
+is free of that rank and Ext(H_1, Z) is the torsion of coker d2; over
+Z_m, each free summand adds a Z_m and each invariant factor d of d2
+and of d3^T a Z_gcd(d, m).  So H^2 vanishes exactly when the free rank
+is 0 and, over Z, every nonzero invariant factor of d2 is 1, or, over
+Z_m, every nonzero invariant factor d of d2 and of d3^T has
+gcd(d, m) = 1 (_h2_vanishes).  Then h2_generators returns no vectors
+and every cocycle is a coboundary, without the Smith form of the
+coboundaries' coordinates.
 """
 
 import operator
@@ -137,11 +151,12 @@ class _Complex:
     n x p matrix, the pair count p, d3 as terms, one tuple of six pair
     indices per triple in triple_basis order, and d3^T as a _D3tRows
     over them, whose rows are expanded only when read.  On first use it
-    adds the nonzeros of each column of d2, the Smith form of d3^T, and
-    H^2 per coefficient modulus.
+    adds the nonzeros of each column of d2, the Smith forms of d2 and of
+    d3^T, and H^2 per coefficient modulus.
 
     The Smith form of d3^T is told that its rank is at most p - rank d2,
-    with rank d2 over Q from the Smith form of d2's rows.  The check
+    with rank d2 over Q from the Smith form of d2's rows, which is kept
+    (d2_snf) for the invariant factors _h2_vanishes reads.  The check
     below makes the bound sound: d2 @ d3 = 0 puts the image of d3 in
     the kernel of d2.  The Smith form reads a row of d3^T only when
     it brings the row in, so rows past the pivots are never expanded.
@@ -216,10 +231,14 @@ class _Complex:
         return [[(i, c) for i, c in enumerate(col) if c] for col in zip(*self.d2)]
 
     @cached_property
+    def d2_snf(self):
+        """The Smith form of d2's rows: the rank bound of d3t_snf, and
+        the invariant factors _h2_vanishes reads."""
+        return snf([{k: c for k, c in enumerate(row) if c} for row in self.d2], self.npairs)
+
+    @cached_property
     def d3t_snf(self):
-        d2_rows = [{k: c for k, c in enumerate(row) if c} for row in self.d2]
-        bound = self.npairs - snf(d2_rows, self.npairs).rank
-        return snf(self.d3t, self.npairs, bound)
+        return snf(self.d3t, self.npairs, self.npairs - self.d2_snf.rank)
 
 
 def _complex(bq):
@@ -372,13 +391,34 @@ def _h2(bq, coeff):
     return memo[m]
 
 
+def _h2_vanishes(bq, coeff):
+    """Whether H^2 over coeff is 0, by the universal coefficient theorem
+    (see the module docstring), read off the Smith forms of d2 and d3^T
+    alone."""
+    cx = _complex(bq)
+    d2, d3t = cx.d2_snf, cx.d3t_snf
+    if cx.npairs - d2.rank - d3t.rank:
+        return False
+    m = coeff.modulus
+    if m == 0:
+        return all(d == 1 for d in d2.diag if d)
+    return all(gcd(d, m) == 1 for d in d2.diag + d3t.diag if d)
+
+
 def h2_generators(bq, coeff):
     """Generators of the second cohomology group.
 
     Returns a list of (order, vector) pairs, one per cyclic summand;
     order 0 marks a free summand (integer coefficients only).  Trivial
     summands are dropped.
+
+    When the universal coefficient theorem says H^2 vanishes over coeff
+    (_h2_vanishes: no free rank, and no invariant factor of d2, or over
+    Z_m of d3^T, that shares a factor with the group), the list is empty
+    and the Smith form of the coboundaries' coordinates is not made.
     """
+    if _h2_vanishes(bq, coeff):
+        return []
     return [(f, list(vec)) for f, vec in _h2(bq, coeff)[2]]
 
 
@@ -400,8 +440,12 @@ def is_cocycle(bq, coeff, vec):
 
 def _h2_class(bq, coeff, vec):
     """(order, coordinate) per summand of H^2, trivial ones included, for
-    the class of vec; None when vec is not a cocycle."""
+    the class of vec; None when vec is not a cocycle.  When H^2 vanishes
+    every cocycle is a coboundary, and a cocycle's class is [], read off
+    is_cocycle without _h2."""
     check_length(bq, vec)
+    if _h2_vanishes(bq, coeff):
+        return [] if is_cocycle(bq, coeff, vec) else None
     factors, res, _ = _h2(bq, coeff)
     x = _lattice_coords(bq, coeff, [vec])[0]
     if x is None:
