@@ -744,8 +744,8 @@ def test_h2_vanishes_exactly_when_every_factor_is_one():
             if want:
                 vanish.add((bq.name, m))
     assert len(algebras) == 37 and len(vanish) == 166
-    # over Z and Z_m with gcd(m, 3) = 1 only: Hom(H_2, A) reads the
-    # torsion of H_2, Ext(H_1, Z) does not
+    # over Z and Z_m with gcd(m, 3) = 1 only: Hom(H_2, Z) drops the
+    # torsion 3 of H_2, and Hom(H_2, Z_m) keeps Z_gcd(3, m) of it
     assert {m for name, m in vanish if name == "affine-3-112000"} == {0, 2, 4, 5, 7, 8}
 
 
@@ -854,9 +854,9 @@ def test_length_check_builds_no_complex(monkeypatch):
 # h2_generators or h2_coordinates on these cases changes it
 GOLDEN_H2_CASES = H2_CASES + [("alexander-11-2", 11), ("core-15", 0)]
 GOLDEN_H2_DIGEST = "b1d2b313d6b376905b761e13d7857bf91cde9c08aca4da1813712a508d6b7b98"
-# the CI's H^2 algebras that the cases above leave out (core-33 over Z
-# takes seconds), recorded with the coboundary Smith form run on every
-# case: core-12 over Z_12 has generators of orders 2, 2, 12 and 12, the
+# the CI's H^2 algebras that the cases above leave out, core-33 over Z
+# aside, recorded with the coboundary Smith form run on every case:
+# core-12 over Z_12 has generators of orders 2, 2, 12 and 12, the
 # others have none
 CI_H2_CASES = [("core-9", 9), ("core-12", 12), ("core-15", 15), ("core-21", 0),
                ("core-27", 27), ("alexander-13-2", 13)]
